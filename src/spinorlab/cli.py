@@ -37,7 +37,13 @@ from .dispersion import (
     preferred_branch,
 )
 from .errors import DomainError
-from .lattice import RingSpec, mode_indices, ring_spectrum, verify_dispersion
+from .lattice import (
+    RingSpec,
+    _group_levels,
+    mode_indices,
+    ring_spectrum,
+    verify_dispersion,
+)
 from .magma import FiniteMagma, analyze, builtin, compose, from_json
 from .sections import (
     commutation_residual,
@@ -322,27 +328,24 @@ def _run_ring_spectrum(options: dict) -> RunReport:
         twist = 0.0 if structure is Structure.STANDARD else math.pi
     spec = RingSpec(sites=sites, circumference=length, twist=twist, mass=mass)
     momenta = ring_spectrum(spec, first_order=True)
-    flat = [
-        e
-        for e, mult in zip(momenta.eigenvalues, momenta.multiplicities)
-        for _ in range(mult)
-    ]
-    energies = [math.sqrt(mass**2 + e**2) for e in flat]
-    level_count: dict[int, int] = {}
-    for index, energy in enumerate(energies):
-        level_count[index] = sum(
-            1 for other in energies if abs(other - energy) <= 1e-12
-        )
-    order = sorted(range(len(flat)), key=lambda i: (energies[i], flat[i]))
+    flat = np.repeat(momenta.eigenvalues, momenta.multiplicities)
+    energies = np.sqrt(mass**2 + flat**2)
+    modes = np.rint((flat * length - twist) / TWO_PI).astype(int)
+    levels = _group_levels(energies)
+    # sorted by energy, rows fall into the levels in order; within a level
+    # they go by n, so rounding cannot swap the rows of a degenerate pair
+    level = np.repeat(np.arange(len(levels.multiplicities)), levels.multiplicities)
+    order = np.lexsort((modes, energies))
+    order = order[np.lexsort((modes[order], level))]
+    multiplicity = np.repeat(levels.multiplicities, levels.multiplicities)
     count = options.get("count")
     limit = int(count) if count is not None else len(order)
     if limit < 0:
         raise DomainError("--count must be non-negative")
-    rows = []
-    for i in order[:limit]:
-        e = flat[i]
-        n = round((e * length - twist) / TWO_PI)
-        rows.append((int(n), e, energies[i], level_count[i]))
+    rows = [
+        (int(modes[i]), float(flat[i]), float(energies[i]), int(mult))
+        for i, mult in zip(order[:limit], multiplicity[:limit])
+    ]
     parameters = {
         "sites": sites,
         "length": length,

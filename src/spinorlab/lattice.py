@@ -76,25 +76,35 @@ class Spectrum:
 
 
 def _group_levels(values: np.ndarray, tol: float = 1e-12) -> Spectrum:
-    levels: list[float] = []
-    counts: list[int] = []
-    for value in np.sort(values):
-        if levels and abs(value - levels[-1]) <= tol:
-            counts[-1] += 1
-        else:
-            levels.append(float(value))
-            counts.append(1)
-    return Spectrum(eigenvalues=tuple(levels), multiplicities=tuple(counts))
+    """Sorted levels with multiplicities; neighbours within the window merge.
+
+    eigvalsh rounding grows like eps * max|v|, so the window is
+    tol * max(1, max|v|): exactly tol at unit scale.
+    """
+    ordered = np.sort(values)
+    window = tol * max(1.0, float(np.max(np.abs(ordered))))
+    starts = np.flatnonzero(np.diff(ordered, prepend=-np.inf) > window)
+    counts = np.diff(starts, append=len(ordered))
+    return Spectrum(
+        eigenvalues=tuple(ordered[starts].tolist()),
+        multiplicities=tuple(counts.tolist()),
+    )
 
 
 def _generator_matrix(spec: RingSpec) -> np.ndarray:
     """Dense twisted generator -i d/dx + twist/L on the N-site ring."""
     n = spec.sites
-    # Fourier differentiation matrix: derivative of each identity column.
+    # The Fourier differentiation matrix is circulant, so the derivative of
+    # the first identity column (whose FFT is all ones) fixes every entry:
+    # entry (i, j) is column[(i - j) % n].
     freqs = 2j * math.pi * np.fft.fftfreq(n, d=spec.circumference / n)
-    deriv = np.fft.ifft(freqs[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
-    matrix = -1j * deriv + (spec.twist / spec.circumference) * np.eye(n)
-    return 0.5 * (matrix + matrix.conj().T)
+    column = -1j * np.fft.ifft(freqs)
+    column[0] += spec.twist / spec.circumference
+    index = np.arange(n)
+    # hermitizing the column, entry (i, j) against (j, i) as for the full
+    # matrix, gives the same entries and keeps the result exactly Hermitian
+    column = 0.5 * (column + column[-index % n].conj())
+    return column[np.subtract.outer(index, index) % n]
 
 
 def ring_spectrum(spec: RingSpec, first_order: bool = True) -> Spectrum:
@@ -132,8 +142,8 @@ def dirac_ring_spectrum(spec: RingSpec, structure: Structure) -> Spectrum:
 
     The twist is dictated by the structure (0 or pi); spec.twist is ignored
     here so callers cannot desynchronize the dictionary.  Levels within
-    1e-12 are merged, which is where the degeneracy lifting between the two
-    structures becomes visible.
+    1e-12 * max(1, max energy) are merged, which is where the degeneracy
+    lifting between the two structures becomes visible.
     """
     if not isinstance(structure, Structure):
         raise DomainError("structure must be a Structure value")

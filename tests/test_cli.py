@@ -141,6 +141,38 @@ def test_ring_spectrum_rejects_twist_and_structure_together(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("structure", ["standard", "exotic"])
+def test_ring_spectrum_keeps_degenerate_pairs_at_large_momenta(capsys, structure):
+    # |e_n| reaches 2*pi*512 here, where eigvalsh rounding exceeds 1e-12
+    code, out, _ = run(
+        capsys,
+        "ring-spectrum",
+        "--sites", "1024",
+        "--length", "1",
+        "--structure", structure,
+        "--format", "json",
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 1024
+    shift = 0 if structure == "standard" else 1
+    for row in rows:
+        # |2*pi*n + twist| is shared by n and -n - twist/pi when that is a mode
+        partner = -row["n"] - shift
+        expected = 2 if partner != row["n"] and -512 <= partner < 512 else 1
+        assert row["multiplicity"] == expected
+    # each level's rows are adjacent, share one energy and ascend in n
+    start = 0
+    while start < len(rows):
+        level = rows[start : start + rows[start]["multiplicity"]]
+        modes = [row["n"] for row in level]
+        assert modes == sorted(set(modes))
+        assert len(level) == 1 or sum(modes) == -shift
+        energies = [row["energy"] for row in level]
+        assert max(energies) - min(energies) <= 1e-12 * 2.0 * math.pi * 512
+        start += len(level)
+
+
 def test_map_check_passes_and_fails_by_scale(capsys):
     code, out, _ = run(
         capsys, "map-check", "--sites", "32", "--sections", "3", "--seed", "5"

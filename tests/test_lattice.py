@@ -8,6 +8,8 @@ from spinorlab.errors import DomainError
 from spinorlab.lattice import (
     RingSpec,
     Spectrum,
+    _generator_matrix,
+    _group_levels,
     analytic_levels,
     dirac_ring_spectrum,
     mode_indices,
@@ -55,6 +57,24 @@ def test_numerics_match_quantization_rule():
         assert np.max(np.abs(numeric - analytic)) <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("twist", [0.0, math.pi, 1.1])
+@pytest.mark.parametrize("sites", [512, 768, 1024])
+def test_large_rings_match_quantization_rule(sites, twist):
+    spec = RingSpec(sites=sites, circumference=1.0, twist=twist)
+    numeric = np.array(_expand(ring_spectrum(spec)))
+    analytic = analytic_levels(spec)
+    scale = np.max(np.abs(analytic)) + 1.0
+    assert np.max(np.abs(numeric - analytic)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("sites", [4, 10, 64])
+def test_generator_matrix_is_hermitian_and_circulant(sites):
+    matrix = _generator_matrix(RingSpec(sites=sites, circumference=2.5, twist=0.9))
+    assert np.array_equal(matrix, matrix.conj().T)
+    for j in range(sites):
+        assert np.array_equal(matrix[:, j], np.roll(matrix[:, 0], j))
+
+
 def test_full_turn_shifts_every_level_by_one_mode():
     base = RingSpec(sites=12, circumference=3.0, twist=0.7)
     turned = RingSpec(sites=12, circumference=3.0, twist=0.7 + TWO_PI)
@@ -90,6 +110,50 @@ def test_dirac_levels_exotic_structure():
     assert spectrum.multiplicities[0] == 2
     assert spectrum.eigenvalues[1] == pytest.approx(math.sqrt(3.25), abs=1e-12)
     assert spectrum.multiplicities[1] == 2
+
+
+@pytest.mark.parametrize("structure", [Structure.STANDARD, Structure.EXOTIC])
+def test_dirac_levels_keep_degeneracy_at_large_momenta(structure):
+    # |e_n| reaches 2*pi*512, where eigvalsh rounding exceeds an absolute 1e-12
+    spec = RingSpec(sites=1024, circumference=1.0, twist=0.0, mass=0.5)
+    spectrum = dirac_ring_spectrum(spec, structure)
+    if structure is Structure.STANDARD:
+        # n = 0 and n = -512 are single; n and -n pair up for 0 < n < 512
+        assert spectrum.multiplicities == (1,) + (2,) * 511 + (1,)
+    else:
+        # n and -n - 1 pair up for every mode
+        assert spectrum.multiplicities == (2,) * 512
+
+
+def _level_split(tol, values):
+    return _group_levels(np.array(values), tol).multiplicities
+
+
+def _group_levels_loop(values, tol):
+    """Reference: one pass over the sorted values with an absolute window."""
+    levels, counts = [], []
+    for value in np.sort(values):
+        if levels and abs(value - levels[-1]) <= tol:
+            counts[-1] += 1
+        else:
+            levels.append(float(value))
+            counts.append(1)
+    return Spectrum(eigenvalues=tuple(levels), multiplicities=tuple(counts))
+
+
+def test_group_levels_matches_loop_at_unit_scale():
+    rng = np.random.default_rng(4)
+    base = rng.uniform(-1.0, 1.0, 200)
+    values = np.concatenate([base, base[:80] + rng.uniform(-4e-13, 4e-13, 80)])
+    assert _group_levels(values) == _group_levels_loop(values, 1e-12)
+
+
+def test_group_levels_window_scales_with_largest_value():
+    assert _level_split(1e-12, [0.5, 0.5 + 0.9e-12, 0.7]) == (2, 1)
+    assert _level_split(1e-12, [0.5, 0.5 + 1.1e-12, 0.7]) == (1, 1, 1)
+    # at magnitude 1e3 the window is 1e-9
+    assert _level_split(1e-12, [1e3, 1e3 + 0.9e-9, -2.0]) == (1, 2)
+    assert _level_split(1e-12, [1e3, 1e3 + 1.1e-9, -2.0]) == (1, 1, 1)
 
 
 def test_massless_exotic_gap():

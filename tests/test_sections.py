@@ -63,6 +63,37 @@ def test_even_winding_keeps_periodicity():
     assert not image.antiperiodic
 
 
+def _direct_sum_section(sites, circumference, rng):
+    """Reference: harmonic-by-harmonic synthesis, one draw of re(4), im(4) each."""
+    x = np.arange(sites) * (circumference / sites)
+    cutoff = sites // 4
+    values = np.zeros((sites, 4), dtype=complex)
+    for n in range(-cutoff, cutoff + 1):
+        coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        values += np.exp(2j * math.pi * n * x / circumference)[:, None] * coeffs
+    return values / math.sqrt(np.max(np.sum(np.abs(values) ** 2, axis=1)))
+
+
+@pytest.mark.parametrize("sites", [8, 9, 64, 257, 1024])
+def test_random_section_matches_direct_sum(sites):
+    reference_rng, rng = np.random.default_rng(21), np.random.default_rng(21)
+    expected = _direct_sum_section(sites, 3.3, reference_rng)
+    section = random_band_limited_section(sites, 3.3, rng)
+    assert np.max(np.abs(section.values - expected)) <= 1e-12
+    # the generator is left exactly where the per-harmonic draws leave it
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("sites", [8, 9, 64, 1024])
+def test_random_section_is_band_limited(sites):
+    section = random_band_limited_section(sites, 2.0, np.random.default_rng(5))
+    spectrum = np.abs(np.fft.fft(section.values, axis=0))
+    harmonics = np.abs(np.fft.fftfreq(sites, d=1.0 / sites))
+    outside = harmonics > sites // 4
+    assert np.max(spectrum[outside]) <= 1e-12 * np.max(spectrum)
+    assert np.max(np.sum(np.abs(section.values) ** 2, axis=1)) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_round_trip_restores_section():
     rng = np.random.default_rng(8)
     theta = _theta()
