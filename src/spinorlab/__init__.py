@@ -19,11 +19,13 @@ from .chains import (
 )
 from .dispersion import (
     Branch,
+    BranchEnergies,
     KernelClass,
     ModeSpec,
     Preference,
     SectorLabel,
     Structure,
+    branch_energies,
     classify_mode,
     default_degeneracy_tol,
     degeneracy_gap,
@@ -64,6 +66,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Branch",
+    "BranchEnergies",
     "ChainEvent",
     "ChainStep",
     "DispersionMatchReport",
@@ -83,6 +86,7 @@ __all__ = [
     "ThetaField",
     "WindingGradient",
     "analyze",
+    "branch_energies",
     "build_context",
     "build_theta",
     "builtin",

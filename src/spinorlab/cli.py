@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,12 +29,9 @@ from . import __version__
 from .chains import ChainEvent, build_context, run_chain, select_table
 from .dispersion import (
     Branch,
-    ModeSpec,
     Structure,
+    branch_energies,
     default_degeneracy_tol,
-    degeneracy_gap,
-    dispersion_exact,
-    dispersion_semiclassical,
     preferred_branch,
 )
 from .errors import DomainError
@@ -77,7 +75,7 @@ class RunReport:
     parameters: dict
     payload: dict
     header: tuple[str, ...] | None = None
-    rows: tuple[tuple, ...] | None = None
+    rows: Sequence[Sequence] | None = None
     exit_code: int = 0
     wall_time: float = 0.0
     text: str | None = None
@@ -162,14 +160,17 @@ def _load_config(path: str | None) -> dict[str, float]:
 
 
 def _resolve(options: dict, key: str, fallback):
-    """Flag wins over config file; config wins over the built-in default."""
+    """Flag wins over config file; config wins over the built-in default.
+
+    The file is read at the first lookup that needs it, and its values are
+    kept in options for the rest of the command.
+    """
     flag = options.get(key)
     if flag is not None:
         return flag
-    config = _load_config(options.get("config"))
-    if key in config:
-        return config[key]
-    return fallback
+    if "config_values" not in options:
+        options["config_values"] = _load_config(options.get("config"))
+    return options["config_values"].get(key, fallback)
 
 
 def _field_from_options(options: dict) -> WindingGradient:
@@ -185,9 +186,6 @@ def _run_dispersion(options: dict) -> RunReport:
     momentum = _parse_vector(options["p"], 3, "--p")
     field = _field_from_options(options)
     formula = options.get("formula") or "both"
-    if formula not in ("semiclassical", "exact", "both"):
-        raise DomainError(f"unknown formula {formula!r}")
-
     parameters = {
         "m": mass,
         "p": options["p"],
@@ -195,43 +193,34 @@ def _run_dispersion(options: dict) -> RunReport:
         "scale": field.scale,
         "formula": formula,
     }
-    branches = {}
-    for branch in Branch:
-        entry = {}
-        if formula in ("semiclassical", "both"):
-            entry["semiclassical"] = dispersion_semiclassical(
-                ModeSpec(mass, momentum, branch), field
-            )
-        if formula in ("exact", "both"):
-            entry["exact"] = dispersion_exact(ModeSpec(mass, momentum, branch), field)
-        branches[branch.value] = entry
-    payload = {"branches": branches, "gaps": {}}
-    if formula in ("semiclassical", "both"):
-        payload["gaps"]["semiclassical"] = degeneracy_gap(
-            mass, momentum, field, "semiclassical"
-        )
-    if formula in ("exact", "both"):
-        payload["gaps"]["exact"] = degeneracy_gap(mass, momentum, field, "exact")
-
-    columns = ["branch"]
-    if formula in ("semiclassical", "both"):
-        columns.append("e_semiclassical")
-    if formula in ("exact", "both"):
-        columns.append("e_exact")
-    rows = []
-    for branch in Branch:
-        row: list = [branch.value]
-        if formula in ("semiclassical", "both"):
-            row.append(branches[branch.value]["semiclassical"])
-        if formula in ("exact", "both"):
-            row.append(branches[branch.value]["exact"])
-        rows.append(tuple(row))
+    energies = branch_energies(mass, momentum[None, :], field.k, field.scale, formula)
+    # per formula: standard, plus and minus branch energies, then the gap
+    results = {
+        "semiclassical": (
+            energies.rest,
+            energies.semiclassical_plus,
+            energies.semiclassical_minus,
+            energies.signed_shift,
+        ),
+        "exact": (
+            energies.exact_standard,
+            energies.exact_plus,
+            energies.exact_minus,
+            energies.gap_exact,
+        ),
+    }
+    chosen = [name for name in results if formula in (name, "both")]
+    branches = {
+        branch.value: {name: float(results[name][i][0]) for name in chosen}
+        for i, branch in enumerate(Branch)
+    }
+    gaps = {name: float(results[name][3][0]) for name in chosen}
     return RunReport(
         command="dispersion",
         parameters=parameters,
-        payload=payload,
-        header=tuple(columns),
-        rows=tuple(rows),
+        payload={"branches": branches, "gaps": gaps},
+        header=("branch", *(f"e_{name}" for name in chosen)),
+        rows=tuple((branch, *entry.values()) for branch, entry in branches.items()),
     )
 
 
@@ -261,27 +250,28 @@ def _run_sweep(options: dict) -> RunReport:
         "gap_semiclassical",
         "gap_exact",
     )
-    rows = []
-    values = np.linspace(start, stop, count) if count else []
-    for p3 in values:
-        momentum = np.array([p_transverse[0], p_transverse[1], float(p3)])
-        rows.append(
-            (
-                float(p3),
-                dispersion_semiclassical(ModeSpec(mass, momentum, Branch.EXOTIC_PLUS), field),
-                dispersion_semiclassical(ModeSpec(mass, momentum, Branch.EXOTIC_MINUS), field),
-                dispersion_exact(ModeSpec(mass, momentum, Branch.EXOTIC_PLUS), field),
-                dispersion_exact(ModeSpec(mass, momentum, Branch.EXOTIC_MINUS), field),
-                degeneracy_gap(mass, momentum, field, "semiclassical"),
-                degeneracy_gap(mass, momentum, field, "exact"),
-            )
+    p3 = np.linspace(start, stop, count)
+    momenta = np.column_stack(
+        (np.full(count, p_transverse[0]), np.full(count, p_transverse[1]), p3)
+    )
+    energies = branch_energies(mass, momenta, field.k, field.scale)
+    table = np.column_stack(
+        (
+            p3,
+            energies.semiclassical_plus,
+            energies.semiclassical_minus,
+            energies.exact_plus,
+            energies.exact_minus,
+            energies.signed_shift,
+            energies.gap_exact,
         )
+    )
     return RunReport(
         command="sweep",
         parameters=parameters,
         payload={},
         header=header,
-        rows=tuple(rows),
+        rows=table.tolist(),
     )
 
 
@@ -586,7 +576,8 @@ def run_command(request: CommandRequest) -> RunReport:
     if request.command not in _RUNNERS:
         raise DomainError(f"unknown command {request.command!r}")
     started = time.perf_counter()
-    report = _RUNNERS[request.command](request.options)
+    # a copy, so that the config values _resolve keeps stay with this command
+    report = _RUNNERS[request.command](dict(request.options))
     elapsed = time.perf_counter() - started
     return RunReport(
         command=report.command,

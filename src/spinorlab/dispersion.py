@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,40 +79,161 @@ class SectorLabel:
     kernel: KernelClass
 
 
+class BranchEnergies(NamedTuple):
+    """Energies of a batch of modes, one float64 entry per momentum row.
+
+    rest is m^2 + |p|^2, which the semiclassical formula returns for the
+    standard branch, and signed_shift is s*(k.p), the semiclassical gap.
+    The semiclassical pair is None when only the exact formula was asked
+    for; the exact columns are None when only the semiclassical one was.
+    """
+
+    rest: np.ndarray
+    signed_shift: np.ndarray
+    semiclassical_plus: np.ndarray | None = None
+    semiclassical_minus: np.ndarray | None = None
+    exact_standard: np.ndarray | None = None
+    exact_plus: np.ndarray | None = None
+    exact_minus: np.ndarray | None = None
+    gap_exact: np.ndarray | None = None
+
+
+# The helpers below hold each formula once; branch_energies and the scalar
+# functions call them with floating-point warnings off.  Inputs are finite,
+# so a non-finite result can only come from overflow, which _finite turns
+# into a DomainError.
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+
+def _finite(label: str, values: np.ndarray, momenta: np.ndarray) -> np.ndarray:
+    bad = ~np.isfinite(values)
+    if bad.any():
+        p = momenta[np.argmax(bad)].tolist()
+        raise DomainError(f"{label} overflows float64 at p = ({p[0]!r}, {p[1]!r}, {p[2]!r})")
+    return values
+
+
+def _rest(mass, momenta: np.ndarray) -> np.ndarray:
+    return _finite("m^2 + |p|^2", np.square(mass) + np.vecdot(momenta, momenta), momenta)
+
+
+def _signed(momenta: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
+    return _finite("s*(k.p)", scale * np.vecdot(momenta, k), momenta)
+
+
+def _semiclassical(rest: np.ndarray, signed: np.ndarray, momenta: np.ndarray):
+    if np.any(rest == 0.0):
+        raise DomainError("semiclassical correction undefined at m = 0, p = 0")
+    correction = signed / (2.0 * rest)
+    plus = _finite("semiclassical plus energy", rest * (1.0 - correction), momenta)
+    minus = _finite("semiclassical minus energy", rest * (1.0 + correction), momenta)
+    return plus, minus
+
+
+def _exact(mass, momenta: np.ndarray, shift) -> np.ndarray:
+    """sqrt(m^2 + |p - shift|^2): plus branch at shift s*k, minus at -s*k."""
+    shifted = momenta - shift
+    return _finite(
+        "exact energy", np.sqrt(np.square(mass) + np.vecdot(shifted, shifted)), momenta
+    )
+
+
+def _exact_gap(signed, plus, minus, momenta: np.ndarray) -> np.ndarray:
+    # E_minus^2 - E_plus^2 = 4 s (k.p) exactly, so dividing by E_minus + E_plus
+    # gives the difference of the roots without subtracting them (Higham,
+    # Accuracy and Stability of Numerical Algorithms, ch. 1).  The sum is zero
+    # only where s*(k.p) is, at m = 0, p = 0, s*k = 0.
+    gap = np.where(signed == 0.0, 0.0, 4.0 * signed / (minus + plus))
+    return _finite("exact gap", gap, momenta)
+
+
+@np.errstate(**_QUIET)
+def branch_energies(
+    mass, momenta, k, scale: float = 1.0, formula: str = "both"
+) -> BranchEnergies:
+    """Branch energies and gaps for N modes at once.
+
+    momenta is an (N, 3) array; mass is one number or N of them; k is the
+    gradient, one 3-vector for the batch or an (N, 3) array, multiplied by
+    scale wherever it shifts an energy.  formula picks "semiclassical",
+    "exact" or "both".  Inputs are validated once for the whole batch; the
+    semiclassical formula rejects any row at m = 0, p = 0, and any result
+    that overflows float64 is rejected with the quantity that overflowed.
+    """
+    if formula not in ("semiclassical", "exact", "both"):
+        raise DomainError(f"unknown formula {formula!r}")
+    momenta = np.asarray(momenta, dtype=float)
+    if momenta.ndim != 2 or momenta.shape[1] != 3:
+        raise DomainError("momenta must be an (N, 3) array")
+    if not np.all(np.isfinite(momenta)):
+        raise DomainError("momentum must be finite")
+    masses = np.asarray(mass, dtype=float)
+    if masses.shape not in ((), (len(momenta),)):
+        raise DomainError("mass must be one number or one per momentum row")
+    if not np.all(np.isfinite(masses)) or np.any(masses < 0.0):
+        raise DomainError("mass must be finite and non-negative")
+    k = np.asarray(k, dtype=float)
+    if k.shape not in ((3,), momenta.shape):
+        raise DomainError("k must be a 3-vector or one per momentum row")
+    if not np.all(np.isfinite(k)):
+        raise DomainError("gradient data must be finite")
+    if not math.isfinite(scale):
+        raise DomainError("scale must be finite")
+
+    rest = _rest(masses, momenta)
+    signed = _signed(momenta, k, scale)
+    energies = {}
+    if formula != "exact":
+        plus, minus = _semiclassical(rest, signed, momenta)
+        energies.update(semiclassical_plus=plus, semiclassical_minus=minus)
+    if formula != "semiclassical":
+        shift = scale * k
+        plus = _exact(masses, momenta, shift)
+        minus = _exact(masses, momenta, -shift)
+        energies.update(
+            exact_standard=np.sqrt(rest),
+            exact_plus=plus,
+            exact_minus=minus,
+            gap_exact=_exact_gap(signed, plus, minus, momenta),
+        )
+    return BranchEnergies(rest=rest, signed_shift=signed, **energies)
+
+
+@np.errstate(**_QUIET)
 def _signed_shift(field: WindingGradient, momentum: np.ndarray) -> float:
-    return field.scale * float(np.dot(field.k, momentum))
+    momenta = np.asarray(momentum, dtype=float)[None, :]
+    return float(_signed(momenta, field.k, field.scale)[0])
 
 
+@np.errstate(**_QUIET)
 def dispersion_semiclassical(mode: ModeSpec, field: WindingGradient) -> float:
     """First-order branch energy; the standard branch returns |p|^2 + m^2.
 
     Rejects modes with m = 0 and p = 0, where the printed correction is
-    undefined.
+    undefined, and results that overflow float64.
     """
-    base = mode.mass**2 + float(np.dot(mode.momentum, mode.momentum))
+    momenta = mode.momentum[None, :]
+    rest = _rest(mode.mass, momenta)
     if mode.branch is Branch.STANDARD:
-        return base
-    if base == 0.0:
-        raise DomainError("semiclassical correction undefined at m = 0, p = 0")
-    correction = _signed_shift(field, mode.momentum) / (2.0 * base)
-    if mode.branch is Branch.EXOTIC_PLUS:
-        return base * (1.0 - correction)
-    return base * (1.0 + correction)
+        return float(rest[0])
+    plus, minus = _semiclassical(rest, _signed(momenta, field.k, field.scale), momenta)
+    return float((plus if mode.branch is Branch.EXOTIC_PLUS else minus)[0])
 
 
+@np.errstate(**_QUIET)
 def dispersion_exact(mode: ModeSpec, field: WindingGradient) -> float:
     """Closed-form branch energy sqrt(m^2 + |p -+ s*k|^2).
 
     Plus branch shifts by -s*k, minus by +s*k, standard not at all; always
-    at least m (rest floor).
+    at least m (rest floor).  Results that overflow float64 are rejected.
     """
+    momenta = mode.momentum[None, :]
     if mode.branch is Branch.STANDARD:
-        shifted = mode.momentum
-    elif mode.branch is Branch.EXOTIC_PLUS:
-        shifted = mode.momentum - field.scale * field.k
-    else:
-        shifted = mode.momentum + field.scale * field.k
-    return math.sqrt(mode.mass**2 + float(np.dot(shifted, shifted)))
+        return float(np.sqrt(_rest(mode.mass, momenta))[0])
+    shift = field.scale * field.k
+    if mode.branch is Branch.EXOTIC_MINUS:
+        shift = -shift
+    return float(_exact(mode.mass, momenta, shift)[0])
 
 
 def degeneracy_gap(
@@ -122,15 +244,17 @@ def degeneracy_gap(
     For the semiclassical formula the splitting collapses algebraically to
     s*(k.p), and that identity is what is returned (the two first-order
     terms cancel exactly, so subtracting the evaluated branch energies would
-    only add rounding noise).  For the exact formula the actual difference
-    of the two square roots is returned.
+    only add rounding noise).  For the exact formula it is returned as
+    4*s*(k.p) / (E_minus + E_plus), which equals the difference of the two
+    square roots without the cancellation of subtracting them: it keeps the
+    sign of s*(k.p) and full relative accuracy however small the gap.
     """
     if formula == "semiclassical":
-        return field.scale * float(np.dot(field.k, np.asarray(momentum, dtype=float)))
+        return _signed_shift(field, momentum)
     if formula == "exact":
-        minus = ModeSpec(mass, momentum, Branch.EXOTIC_MINUS)
-        plus = ModeSpec(mass, momentum, Branch.EXOTIC_PLUS)
-        return dispersion_exact(minus, field) - dispersion_exact(plus, field)
+        momenta = np.asarray(momentum, dtype=float)[None, :]
+        energies = branch_energies(mass, momenta, field.k, field.scale, "exact")
+        return float(energies.gap_exact[0])
     raise DomainError(f"unknown formula {formula!r}")
 
 

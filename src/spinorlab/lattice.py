@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import Branch, ModeSpec, Structure, dispersion_exact
+from .dispersion import Structure, branch_energies
 from .errors import DomainError
 from .winding import WindingGradient
 
@@ -202,27 +202,18 @@ def verify_dispersion(
             raise DomainError(
                 f"field implies circumference {implied:.12g}, lattice has {length:.12g}"
             )
-    shift = field.scale * k3
-    branch = Branch.STANDARD if shift == 0.0 else Branch.EXOTIC_MINUS
 
-    momenta = ring_spectrum(spec, first_order=True)
+    spectrum = ring_spectrum(spec, first_order=True)
+    levels = np.repeat(spectrum.eigenvalues, spectrum.multiplicities)
     p1, p2 = (float(p_transverse[0]), float(p_transverse[1]))
-    lattice = np.sort(
-        [
-            math.sqrt(spec.mass**2 + p1**2 + p2**2 + e**2)
-            for e, mult in zip(momenta.eigenvalues, momenta.multiplicities)
-            for _ in range(mult)
-        ]
+    lattice = np.sort(np.sqrt(spec.mass**2 + p1**2 + p2**2 + levels**2))
+    ring_momenta = TWO_PI * mode_indices(spec) / length
+    momenta = np.column_stack(
+        (np.full(len(ring_momenta), p1), np.full(len(ring_momenta), p2), ring_momenta)
     )
-    continuum = np.sort(
-        [
-            dispersion_exact(
-                ModeSpec(spec.mass, np.array([p1, p2, TWO_PI * n / length]), branch),
-                field,
-            )
-            for n in mode_indices(spec)
-        ]
-    )
+    # the minus branch adds s*k3; with no shift it is the standard branch
+    energies = branch_energies(spec.mass, momenta, field.k, field.scale, "exact")
+    continuum = np.sort(energies.exact_minus)
     deviations = tuple(float(d) for d in np.abs(lattice - continuum))
     max_deviation = float(max(deviations))
     return DispersionMatchReport(

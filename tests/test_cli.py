@@ -1,11 +1,21 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from spinorlab import cli
 from spinorlab.cli import main
+from spinorlab.dispersion import (
+    Branch,
+    ModeSpec,
+    degeneracy_gap,
+    dispersion_exact,
+    dispersion_semiclassical,
+)
 from spinorlab.sections import random_band_limited_section, section_to_json
+from spinorlab.winding import WindingGradient
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,7 +51,9 @@ def test_dispersion_json_values_round_trip(capsys):
     assert document["branches"]["exotic_plus"]["semiclassical"] == 1.2475
     assert document["branches"]["exotic_minus"]["semiclassical"] == 1.2525
     assert document["gaps"]["semiclassical"] == 0.005
-    assert document["gaps"]["exact"] == 0.008943985702456914
+    # sqrt(1.2601) - sqrt(1.2401) correctly rounded (50-digit decimal
+    # reference); subtracting the two float roots gave 0.008943985702456914
+    assert document["gaps"]["exact"] == 0.0089439857024569
 
 
 def test_identical_invocations_identical_bytes(capsys):
@@ -92,6 +104,96 @@ def test_sweep_row_count_and_gap_columns(capsys):
     assert float(first[0]) == -1.0
     # gap column equals the alignment s*(k.p) at each row
     assert float(first[5]) == pytest.approx(-0.01, abs=1e-15)
+
+
+SWEEP_HEADER = (
+    "p3",
+    "e_plus_semiclassical",
+    "e_minus_semiclassical",
+    "e_plus_exact",
+    "e_minus_exact",
+    "gap_semiclassical",
+    "gap_exact",
+)
+
+
+def test_sweep_rows_are_the_scalar_functions(capsys):
+    code, out, _ = run(
+        capsys, "sweep", "--m", "0.8", "--k", "0.01,-0.02,0.05", "--p-transverse", "0.3,-0.1",
+        "--p3-min=-2", "--p3-max", "3", "--count", "41", "--scale", "0.7", "--format", "json",
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 41
+    field = WindingGradient(k=np.array([0.01, -0.02, 0.05]), holonomy=0.05, scale=0.7)
+    for row in rows:
+        assert tuple(row) == SWEEP_HEADER
+        p = np.array([0.3, -0.1, row["p3"]])
+        modes = {b: ModeSpec(0.8, p, b) for b in Branch}
+        expected = (
+            row["p3"],
+            dispersion_semiclassical(modes[Branch.EXOTIC_PLUS], field),
+            dispersion_semiclassical(modes[Branch.EXOTIC_MINUS], field),
+            dispersion_exact(modes[Branch.EXOTIC_PLUS], field),
+            dispersion_exact(modes[Branch.EXOTIC_MINUS], field),
+            degeneracy_gap(0.8, p, field, "semiclassical"),
+            degeneracy_gap(0.8, p, field, "exact"),
+        )
+        assert tuple(row.values()) == expected
+
+
+def test_sweep_exact_gap_keeps_the_sign_at_tiny_gradient(capsys):
+    code, out, _ = run(
+        capsys, "sweep", "--m", "1", "--k", "0,0,1e-17", "--p3-min=-1", "--p3-max", "1",
+        "--count", "5", "--format", "json",
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    signs = [math.copysign(1.0, r["gap_exact"]) if r["gap_exact"] else 0.0 for r in rows]
+    assert signs == [-1.0, -1.0, 0.0, 1.0, 1.0]
+    assert [math.copysign(1.0, r["gap_semiclassical"]) for r in rows[3:]] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dispersion", "--m", "1", "--p", "0,0,1e200", "--k", "0,0,0.01", "--format", "json"),
+        ("dispersion", "--m", "1", "--p", "0,0,1e200", "--k", "0,0,0.01"),
+        ("sweep", "--m", "1", "--k", "0,0,0.1", "--p3-min", "0", "--p3-max", "1e200",
+         "--count", "2"),
+        ("sweep", "--m", "1", "--k", "0,0,0.1", "--p3-min", "0", "--p3-max", "1e200",
+         "--count", "2", "--format", "json"),
+    ],
+)
+def test_overflow_exits_3_without_output_or_warnings(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "error: m^2 + |p|^2 overflows float64 at p = (0.0, 0.0, 1e+200)\n"
+
+
+def test_preference_overflow_exits_3(capsys):
+    code, out, err = run(
+        capsys, "preference", "--p", "0,0,1e200", "--k", "0,0,1e200", "--tol", "1"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: s*(k.p) overflows float64 at p = (0.0, 0.0, 1e+200)\n"
+
+
+@pytest.mark.parametrize(
+    "low, high", [("-1", "1"), ("0", "1"), ("-1", "0")]
+)
+def test_sweep_rejects_the_pole_at_any_row(capsys, low, high):
+    code, out, err = run(
+        capsys, "sweep", "--m", "0", "--k", "0,0,0.1", f"--p3-min={low}", "--p3-max", high,
+        "--count", "3",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: semiclassical correction undefined at m = 0, p = 0\n"
 
 
 def test_preference_json(capsys):
@@ -326,6 +428,33 @@ def test_config_file_rejects_unknown_key(capsys, tmp_path):
     code, _, err = run(capsys, *DISPERSION_ARGS, "--config", str(config))
     assert code == 3
     assert "unknown key" in err
+
+
+def test_config_file_read_once_per_command(capsys, tmp_path, monkeypatch):
+    config = tmp_path / "run.cfg"
+    config.write_text("scale = 1\ntol = 1e-9\n")
+    reads = []
+    load = cli._load_config
+    monkeypatch.setattr(cli, "_load_config", lambda path: reads.append(path) or load(path))
+    # map-check, preference and chain each look up both scale and tol
+    code, out, _ = run(
+        capsys, "map-check", "--sites", "16", "--sections", "1", "--config", str(config)
+    )
+    assert code == 0
+    assert json.loads(out)["parameters"]["tol"] == 1e-9
+    code, out, _ = run(
+        capsys, "preference", "--p", "0,0,0.5", "--k", "0,0,0.01", "--config", str(config)
+    )
+    assert code == 0
+    assert json.loads(out)["parameters"]["tol"] == 1e-9
+    assert reads == [str(config), str(config)]
+    # with every value given by a flag the file is never needed, so never read
+    code, _, _ = run(
+        capsys, "preference", "--p", "0,0,0.5", "--k", "0,0,0.01", "--scale", "1",
+        "--tol", "1e-9", "--config", str(tmp_path / "missing.cfg"),
+    )
+    assert code == 0
+    assert len(reads) == 2
 
 
 def test_usage_errors_exit_2(capsys):

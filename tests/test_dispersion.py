@@ -1,7 +1,12 @@
 import math
+import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinorlab.dispersion import (
     Branch,
@@ -9,6 +14,7 @@ from spinorlab.dispersion import (
     ModeSpec,
     Preference,
     Structure,
+    branch_energies,
     classify_mode,
     default_degeneracy_tol,
     degeneracy_gap,
@@ -170,3 +176,278 @@ def test_mode_spec_rejects_bad_input():
         ModeSpec(mass=-1.0, momentum=np.zeros(3), branch=Branch.STANDARD)
     with pytest.raises(DomainError):
         ModeSpec(mass=1.0, momentum=np.zeros(2), branch=Branch.STANDARD)
+
+
+# --- batched kernel ------------------------------------------------------
+
+
+def _reference_row(m, p, k, scale):
+    """The per-mode arithmetic the scalar path used before the batched kernel."""
+    base = m * m + float(np.dot(p, p))
+    signed = scale * float(np.dot(k, p))
+    correction = signed / (2.0 * base)
+    plus = p - scale * k
+    minus = p + scale * k
+    return {
+        "rest": base,
+        "signed_shift": signed,
+        "semiclassical_plus": base * (1.0 - correction),
+        "semiclassical_minus": base * (1.0 + correction),
+        "exact_standard": math.sqrt(base),
+        "exact_plus": math.sqrt(m * m + float(np.dot(plus, plus))),
+        "exact_minus": math.sqrt(m * m + float(np.dot(minus, minus))),
+    }
+
+
+def _decimal_gap(m, p, k, scale):
+    """E_minus - E_plus by subtraction at 60 digits, far past the cancellation."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dm, ds = Decimal(m), Decimal(scale)
+        dp = [Decimal(float(x)) for x in p]
+        dk = [Decimal(float(x)) * ds for x in k]
+        e_minus = (dm * dm + sum((a + b) ** 2 for a, b in zip(dp, dk))).sqrt()
+        e_plus = (dm * dm + sum((a - b) ** 2 for a, b in zip(dp, dk))).sqrt()
+        return float(e_minus - e_plus)
+
+
+def test_batched_rows_match_the_per_mode_arithmetic():
+    rng = np.random.default_rng(23)
+    momenta = rng.uniform(-3.0, 3.0, (300, 3))
+    k = rng.uniform(-0.1, 0.1, 3)
+    for mass, scale in ((0.7, 1.0), (1.3, 0.37)):
+        energies = branch_energies(mass, momenta, k, scale)
+        for i, p in enumerate(momenta):
+            for key, value in _reference_row(mass, p, k, scale).items():
+                # same operations in the same order: equal, not merely close
+                assert getattr(energies, key)[i] == value, key
+
+
+def test_scalar_functions_are_rows_of_the_batch():
+    rng = np.random.default_rng(29)
+    momenta = rng.uniform(-2.0, 2.0, (50, 3))
+    masses = rng.uniform(0.1, 2.0, 50)
+    ks = rng.uniform(-0.05, 0.05, (50, 3))
+    energies = branch_energies(masses, momenta, ks, 0.8)
+    for i in range(50):
+        field = WindingGradient(k=ks[i], holonomy=0.0, scale=0.8)
+        mode = {b: ModeSpec(float(masses[i]), momenta[i], b) for b in Branch}
+        assert dispersion_semiclassical(mode[Branch.STANDARD], field) == energies.rest[i]
+        assert (
+            dispersion_semiclassical(mode[Branch.EXOTIC_PLUS], field)
+            == energies.semiclassical_plus[i]
+        )
+        assert (
+            dispersion_semiclassical(mode[Branch.EXOTIC_MINUS], field)
+            == energies.semiclassical_minus[i]
+        )
+        assert dispersion_exact(mode[Branch.STANDARD], field) == energies.exact_standard[i]
+        assert dispersion_exact(mode[Branch.EXOTIC_PLUS], field) == energies.exact_plus[i]
+        assert dispersion_exact(mode[Branch.EXOTIC_MINUS], field) == energies.exact_minus[i]
+        gap_semi = degeneracy_gap(float(masses[i]), momenta[i], field, "semiclassical")
+        assert gap_semi == energies.signed_shift[i]
+        gap_exact = degeneracy_gap(float(masses[i]), momenta[i], field, "exact")
+        assert gap_exact == energies.gap_exact[i]
+
+
+def test_formula_selects_columns():
+    momenta = np.array([[0.0, 0.0, 0.5]])
+    exact = branch_energies(MASS, momenta, FIELD.k, formula="exact")
+    assert exact.semiclassical_plus is None and exact.semiclassical_minus is None
+    assert exact.exact_plus[0] == pytest.approx(EXACT_PLUS, abs=1e-12)
+    semi = branch_energies(MASS, momenta, FIELD.k, formula="semiclassical")
+    assert semi.exact_plus is None and semi.gap_exact is None
+    assert semi.semiclassical_minus[0] == pytest.approx(SEMI_MINUS, abs=1e-12)
+    with pytest.raises(DomainError):
+        branch_energies(MASS, momenta, FIELD.k, formula="quadratic")
+
+
+def test_exact_gap_regression_at_tiny_gradient():
+    # subtracting the two roots gave exactly 0.0 here, hiding the sign
+    p = np.array([0.0, 0.0, 1.0])
+    field = WindingGradient(k=np.array([0.0, 0.0, 1e-17]), holonomy=0.0)
+    gap = degeneracy_gap(1.0, p, field, formula="exact")
+    assert gap > 0.0
+    assert gap == pytest.approx(_decimal_gap(1.0, p, field.k, 1.0), rel=1e-15, abs=0.0)
+    batched = branch_energies(1.0, p[None, :], field.k)
+    assert batched.gap_exact[0] == gap
+    assert batched.signed_shift[0] == 1e-17
+
+
+@pytest.mark.parametrize(
+    "mass, p3, k3",
+    [(1.0, 1e4, 1e-9), (0.1, 1e3, 1e-13), (1.0, 1.0, 1e-17), (2.0, 0.3, 1e-6), (0.0, 5.0, 0.2)],
+)
+def test_exact_gap_has_full_relative_accuracy(mass, p3, k3):
+    p = np.array([0.0, 0.0, p3])
+    k = np.array([0.0, 0.0, k3])
+    gap = branch_energies(mass, p[None, :], k).gap_exact[0]
+    assert gap == pytest.approx(_decimal_gap(mass, p, k, 1.0), rel=4e-16, abs=0.0)
+
+
+def test_pole_rejected_anywhere_in_the_batch():
+    momenta = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    k = np.array([0.0, 0.0, 0.1])
+    for rows in (momenta, momenta[::-1], momenta[1:]):
+        with pytest.raises(DomainError, match="undefined at m = 0, p = 0"):
+            branch_energies(0.0, rows, k)
+    # the exact formula is defined there: the branches sit at |s*k| and do not split
+    exact = branch_energies(0.0, momenta, k, formula="exact")
+    assert exact.exact_plus[1] == exact.exact_minus[1] == pytest.approx(0.1)
+    assert exact.gap_exact[1] == 0.0
+    # with no gradient either, both roots vanish and so does the gap
+    flat = branch_energies(0.0, momenta, np.zeros(3), formula="exact")
+    assert flat.gap_exact.tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "mass, momentum, k, scale, label",
+    [
+        (1.0, (0.0, 0.0, 1e200), (0.0, 0.0, 0.01), 1.0, "m^2 + |p|^2"),
+        (1e160, (0.0, 0.0, 1.0), (0.0, 0.0, 0.01), 1.0, "m^2 + |p|^2"),
+        (1.0, (0.0, 0.0, 1e154), (0.0, 0.0, 1e200), 1.0, "s*(k.p)"),
+        (1.0, (0.0, 0.0, 1.0), (0.0, 0.0, 1e10), 1e300, "s*(k.p)"),
+        (1.0, (0.0, 0.0, 1.0), (0.0, 0.0, 1e160), 1.0, "exact energy"),
+        (1.0, (1e154, 0.0, 0.0), (0.0, 0.0, 1e154), 1.0, "exact energy"),
+    ],
+)
+def test_overflow_is_a_domain_error_without_warnings(mass, momentum, k, scale, label):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as caught:
+            branch_energies(mass, np.array([momentum]), np.array(k), scale)
+        assert str(caught.value).startswith(f"{label} overflows float64 at p = (")
+        field = WindingGradient(k=np.array(k), holonomy=0.0, scale=scale)
+        with pytest.raises(DomainError, match="overflows"):
+            dispersion_exact(ModeSpec(mass, np.array(momentum), Branch.EXOTIC_MINUS), field)
+
+
+def test_scalar_overflow_is_a_domain_error():
+    huge = ModeSpec(1.0, np.array([0.0, 0.0, 1e200]), Branch.STANDARD)
+    with pytest.raises(DomainError, match="overflows"):
+        dispersion_semiclassical(huge, FIELD)
+    with pytest.raises(DomainError, match="overflows"):
+        degeneracy_gap(1.0, np.array([0.0, 0.0, 1e200]), FIELD, formula="exact")
+    # the semiclassical formula alone never forms |p -+ s*k|^2, so a huge
+    # gradient that overflows the exact energies does not stop it
+    steep = WindingGradient(k=np.array([0.0, 0.0, 1e160]), holonomy=0.0)
+    semi = branch_energies(1.0, np.array([[0.0, 0.0, 1.0]]), steep.k, formula="semiclassical")
+    assert semi.semiclassical_plus[0] == pytest.approx(2.0 - 0.5e160)
+
+
+def test_batch_validation():
+    k = np.array([0.0, 0.0, 0.01])
+    good = np.zeros((2, 3)) + 0.5
+    cases = [
+        (-1.0, good, k, 1.0, "mass must be finite"),
+        (math.nan, good, k, 1.0, "mass must be finite"),
+        (np.array([1.0, -1.0]), good, k, 1.0, "mass must be finite"),
+        (np.ones(3), good, k, 1.0, "one per momentum row"),
+        (1.0, np.zeros(3), k, 1.0, r"\(N, 3\)"),
+        (1.0, np.array([[0.0, math.inf, 0.0]]), k, 1.0, "momentum must be finite"),
+        (1.0, good, np.zeros(2), 1.0, "3-vector or one per"),
+        (1.0, good, np.array([0.0, math.nan, 0.0]), 1.0, "gradient data must be finite"),
+        (1.0, good, k, math.inf, "scale must be finite"),
+    ]
+    for mass, momenta, kk, scale, message in cases:
+        with pytest.raises(DomainError, match=message):
+            branch_energies(mass, momenta, kk, scale)
+    empty = branch_energies(1.0, np.zeros((0, 3)), k)
+    assert empty.gap_exact.shape == (0,)
+
+
+# Components are 0 or between 1e-30 and 1e30 in magnitude: nothing can
+# overflow, and a nonzero s*(k.p) is far above the underflow threshold.
+_MODERATE = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-30, max_value=1e30),
+    st.floats(min_value=-1e30, max_value=-1e-30),
+)
+_VECTOR = st.tuples(_MODERATE, _MODERATE, _MODERATE)
+_SCALE = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e3), st.floats(min_value=-1e3, max_value=-1e-3)
+)
+
+
+def _sign(x) -> int:
+    return int(x > 0) - int(x < 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    mass=st.one_of(st.just(0.0), st.floats(min_value=1e-30, max_value=1e30)),
+    p=_VECTOR,
+    k=_VECTOR,
+    scale=_SCALE,
+)
+def test_exact_gap_sign_follows_alignment(mass, p, k, scale):
+    momenta = np.array([p])
+    energies = branch_energies(mass, momenta, np.array(k), scale, formula="exact")
+    signed = energies.signed_shift[0]
+    gap = energies.gap_exact[0]
+    # the two gap columns never disagree in sign, and the exact gap is zero
+    # only where s*(k.p) is
+    assert _sign(gap) == _sign(signed)
+    field = WindingGradient(k=np.array(k), holonomy=0.0, scale=scale)
+    assert signed == degeneracy_gap(mass, np.array(p), field, "semiclassical")
+    # against the true s*(k.p): the sign is right whenever it exceeds the
+    # rounding bound of the three-term dot product
+    exact_kp = sum(Fraction(a) * Fraction(b) for a, b in zip(k, p)) * Fraction(scale)
+    bound = 4 * 2.0**-53 * sum(abs(Fraction(a) * Fraction(b)) for a, b in zip(k, p))
+    if abs(exact_kp) > bound * abs(Fraction(scale)):
+        assert _sign(gap) == _sign(exact_kp)
+
+
+_ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    mass=st.floats(min_value=0.0, allow_infinity=False),
+    p=st.tuples(_ANY_FINITE, _ANY_FINITE, _ANY_FINITE),
+    k=st.tuples(_ANY_FINITE, _ANY_FINITE, _ANY_FINITE),
+)
+def test_exact_gap_sign_over_the_whole_finite_range(mass, p, k):
+    try:
+        energies = branch_energies(mass, np.array([p]), np.array(k), formula="exact")
+    except DomainError as exc:
+        assert "overflows float64" in str(exc)
+        return
+    signed = energies.signed_shift[0]
+    gap = energies.gap_exact[0]
+    # never the opposite sign; zero only where s*(k.p) is zero or the
+    # quotient 4 s*(k.p) / (E_minus + E_plus) is below the smallest subnormal
+    assert _sign(gap) * _sign(signed) >= 0
+    if gap == 0.0 and signed != 0.0:
+        denominator = energies.exact_minus[0] + energies.exact_plus[0]
+        assert 4 * abs(Fraction(signed)) / Fraction(denominator) < Fraction(2.0**-1074)
+
+
+def test_verification_gap_checks_draw_the_same_samples(monkeypatch):
+    from spinorlab import verification
+
+    calls = []
+
+    def recording(*args, **kwargs):
+        energies = branch_energies(*args, **kwargs)
+        calls.append((args, energies))
+        return energies
+
+    monkeypatch.setattr(verification, "branch_energies", recording)
+    checks = {check.name: check for check in verification.dispersion_checks(samples=60, seed=4)}
+    assert checks["gap-sign"].passed and checks["gap-expansion"].passed
+    (masses, momenta, ks, scale, formula), energies = calls[0]
+    # the draws the check made one sample at a time before it was batched
+    rng = np.random.default_rng(4)
+    for i in range(60):
+        mass = float(rng.uniform(0.2, 2.0))
+        momentum = rng.uniform(-2.0, 2.0, size=3)
+        direction = rng.standard_normal(3)
+        direction /= np.linalg.norm(direction)
+        k = direction * rng.uniform(1e-6, 1.0) * 1e-2 * (np.linalg.norm(momentum) + mass)
+        assert masses[i] == mass
+        assert momenta[i].tolist() == momentum.tolist()
+        assert ks[i].tolist() == k.tolist()
+        field = WindingGradient(k=k, holonomy=0.0, scale=1.0)
+        assert energies.gap_exact[i] == degeneracy_gap(mass, momentum, field, "exact")
+        assert energies.signed_shift[i] == degeneracy_gap(mass, momentum, field)

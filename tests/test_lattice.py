@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinorlab.dispersion import Structure
+from spinorlab.dispersion import Branch, ModeSpec, Structure, dispersion_exact
 from spinorlab.errors import DomainError
 from spinorlab.lattice import (
     RingSpec,
@@ -205,6 +205,44 @@ def test_verify_dispersion_flat_field_standard_lattice():
     flat = WindingGradient(k=np.zeros(3), holonomy=0.0)
     report = verify_dispersion(spec, flat, tol=1e-12)
     assert report.passed
+
+
+def _verify_dispersion_per_mode(spec, field, p_transverse):
+    """verify_dispersion's deviations computed one mode at a time."""
+    p1, p2 = p_transverse
+    shift = field.scale * float(field.k[2])
+    branch = Branch.STANDARD if shift == 0.0 else Branch.EXOTIC_MINUS
+    lattice = np.sort(
+        [math.sqrt(spec.mass**2 + p1**2 + p2**2 + e**2) for e in _expand(ring_spectrum(spec))]
+    )
+    continuum = np.sort(
+        [
+            dispersion_exact(
+                ModeSpec(spec.mass, np.array([p1, p2, TWO_PI * n / spec.circumference]), branch),
+                field,
+            )
+            for n in mode_indices(spec)
+        ]
+    )
+    return np.abs(lattice - continuum), max(np.max(lattice), np.max(continuum))
+
+
+@pytest.mark.parametrize(
+    "sites, twist, mass, field, p_transverse",
+    [
+        (8, math.pi, 1.0, _aligned_field(), (0.0, 0.0)),
+        (64, math.pi, 0.0, _aligned_field(), (0.3, -0.4)),
+        (32, 0.0, 0.7, _aligned_field(), (0.0, 0.0)),
+        (16, 0.0, 0.0, WindingGradient(k=np.zeros(3), holonomy=0.0), (0.0, 0.0)),
+    ],
+)
+def test_verify_dispersion_matches_the_per_mode_loop(sites, twist, mass, field, p_transverse):
+    spec = RingSpec(sites=sites, circumference=TWO_PI, twist=twist, mass=mass)
+    report = verify_dispersion(spec, field, p_transverse=p_transverse)
+    reference, energy = _verify_dispersion_per_mode(spec, field, p_transverse)
+    # e**2 was a libm pow per mode and is now a square: a few ulps of the
+    # largest energy, fixed from the dtype before comparing
+    assert np.max(np.abs(np.array(report.deviations) - reference)) <= 4 * 2.0**-52 * energy
 
 
 def test_verify_dispersion_rejects_wrong_circumference():
