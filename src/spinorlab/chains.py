@@ -18,12 +18,11 @@ no parity meaning and are rejected.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import default_degeneracy_tol
+from .dispersion import Preference, default_degeneracy_tol, preferred_branch
 from .errors import DomainError
 from .magma import FiniteMagma, builtin, compose, normalize_label
 from .winding import WindingGradient, involuted
@@ -31,21 +30,18 @@ from .winding import WindingGradient, involuted
 _Z2_ALIASES = {"S": "S", "C": "C", "(a,b)": "S", "(b,a)": "C"}
 
 
+_TABLES = {
+    Preference.PREFER_PLUS: "prefer_standard",
+    Preference.PREFER_MINUS: "prefer_exotic",
+    Preference.DEGENERATE: "z2",
+}
+
+
 def select_table(
     field: WindingGradient, momentum: np.ndarray, tol: float | None = None
 ) -> str:
     """Name of the table consistent with the sign of s*(k.p)."""
-    momentum = np.asarray(momentum, dtype=float)
-    if tol is None:
-        tol = default_degeneracy_tol(0.0, momentum)
-    if tol <= 0.0 or not math.isfinite(tol):
-        raise DomainError("tol must be positive")
-    signed = field.scale * float(np.dot(field.k, momentum))
-    if signed > tol:
-        return "prefer_standard"
-    if signed < -tol:
-        return "prefer_exotic"
-    return "z2"
+    return _TABLES[preferred_branch(field, momentum, tol)]
 
 
 @dataclass(frozen=True)

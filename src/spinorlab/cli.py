@@ -1,11 +1,13 @@
 """Command line front end.
 
 Subcommands: dispersion, sweep, preference, ring-spectrum, map-check,
-algebra (analyze | compose | chain), verify.  Reports are emitted as CSV
-(12 significant digits, parameters echoed as leading comment lines) or
-JSON (fixed key order, round-trip-exact floats).  Identical invocations
-produce byte-identical output; wall time is measured but only ever printed
-to stderr, and only with --timing.
+algebra (analyze | compose | chain), verify.  Every command returns one
+Report, rendered as CSV (parameters echoed as leading comment lines, then
+the single-valued fields as one header line and one row, then each table;
+floats to 12 significant digits, cells quoted per RFC 4180) or JSON (fixed
+key order, round-trip-exact floats, a table as one object per row).
+Identical invocations produce byte-identical output; wall time is measured
+but only ever printed to stderr, and only with --timing.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 usage error, 3 domain error (bad input to the mathematics or an
@@ -33,52 +35,42 @@ from .dispersion import (
     branch_energies,
     default_degeneracy_tol,
     preferred_branch,
+    signed_shift,
 )
 from .errors import DomainError
-from .lattice import (
-    RingSpec,
-    _group_levels,
-    mode_indices,
-    ring_spectrum,
-    verify_dispersion,
-)
+from .lattice import RingSpec, _group_levels, ring_spectrum
 from .magma import FiniteMagma, analyze, builtin, compose, from_json
 from .sections import (
-    commutation_residual,
-    density_residual,
-    exotic_dirac,
-    grid_norm,
-    half_phase,
-    intertwining_residual,
-    kernel_mode,
+    kernel_residuals,
+    map_residuals,
     random_band_limited_section,
     section_from_json,
-    standard_dirac,
-    to_exotic,
-    to_standard,
 )
 from .verification import run_suite
-from .winding import WindingGradient, build_theta, gradient_field
-
-TWO_PI = 2.0 * math.pi
+from .winding import TWO_PI, WindingGradient, build_theta
 
 
 @dataclass(frozen=True)
-class CommandRequest:
-    command: str
-    options: dict
+class Table:
+    """Rows under a header: a CSV block, or in JSON one object per row."""
+
+    header: tuple[str, ...]
+    rows: Sequence[Sequence]
 
 
 @dataclass(frozen=True)
-class RunReport:
+class Report:
+    """What a command returns: echoed parameters and its ordered output fields.
+
+    A field is a scalar, a Table, or nested JSON data.  csv_table, where
+    set, is the whole CSV body in place of the fields.
+    """
+
     command: str
     parameters: dict
-    payload: dict
-    header: tuple[str, ...] | None = None
-    rows: Sequence[Sequence] | None = None
+    fields: dict
     exit_code: int = 0
-    wall_time: float = 0.0
-    text: str | None = None
+    csv_table: Table | None = None
 
 
 def _fmt12(value) -> str:
@@ -87,31 +79,52 @@ def _fmt12(value) -> str:
     return str(value)
 
 
-def _render_csv(report: RunReport) -> str:
+def _cell(value) -> str:
+    """One CSV cell, quoted (RFC 4180) when it holds a comma, quote or newline.
+
+    A float prints to 12 significant digits, a string as it is, and any
+    other value (bool, None, list, dict) as compact JSON.
+    """
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    if type(value) is int:
+        return str(value)
+    text = value if isinstance(value, str) else json.dumps(
+        value, ensure_ascii=False, separators=(",", ":")
+    )
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _render_csv(report: Report) -> str:
     lines = [f"# {key} = {_fmt12(value)}" for key, value in report.parameters.items()]
-    if report.header is not None:
-        lines.append(",".join(report.header))
-        for row in report.rows or ():
-            lines.append(",".join(_fmt12(cell) for cell in row))
+    tables = [report.csv_table]
+    if report.csv_table is None:
+        tables = [value for value in report.fields.values() if isinstance(value, Table)]
+        single = {
+            key: value for key, value in report.fields.items() if not isinstance(value, Table)
+        }
+        if single:
+            tables.insert(0, Table(tuple(single), [tuple(single.values())]))
+    for table in tables:
+        lines.append(",".join(map(_cell, table.header)))
+        lines.extend(",".join(map(_cell, row)) for row in table.rows)
     return "\n".join(lines) + "\n"
 
 
-def _render_json(report: RunReport) -> str:
+def _render_json(report: Report) -> str:
     document = {"command": report.command, "parameters": report.parameters}
-    document.update(report.payload)
-    # tabular commands carry their data in rows; structured ones in payload
-    if report.header is not None and not report.payload:
-        document["rows"] = [
-            dict(zip(report.header, row)) for row in (report.rows or ())
-        ]
+    for key, value in report.fields.items():
+        if isinstance(value, Table):
+            value = [dict(zip(value.header, row)) for row in value.rows]
+        document[key] = value
     return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
 
 
-def emit(report: RunReport, fmt: str, destination: str | None) -> None:
+def emit(report: Report, fmt: str, destination: str | None) -> None:
     """Render a report and write it to a file or stdout."""
-    if report.text is not None:
-        rendered = report.text
-    elif fmt == "csv":
+    if fmt == "csv":
         rendered = _render_csv(report)
     elif fmt == "json":
         rendered = _render_json(report)
@@ -181,7 +194,7 @@ def _field_from_options(options: dict) -> WindingGradient:
     return WindingGradient(k=k, holonomy=float(k[2]), scale=scale)
 
 
-def _run_dispersion(options: dict) -> RunReport:
+def _run_dispersion(options: dict) -> Report:
     mass = float(options["m"])
     momentum = _parse_vector(options["p"], 3, "--p")
     field = _field_from_options(options)
@@ -215,16 +228,19 @@ def _run_dispersion(options: dict) -> RunReport:
         for i, branch in enumerate(Branch)
     }
     gaps = {name: float(results[name][3][0]) for name in chosen}
-    return RunReport(
-        command="dispersion",
-        parameters=parameters,
-        payload={"branches": branches, "gaps": gaps},
-        header=("branch", *(f"e_{name}" for name in chosen)),
-        rows=tuple((branch, *entry.values()) for branch, entry in branches.items()),
+    # CSV shows the branches as a table rather than the two nested dicts
+    return Report(
+        "dispersion",
+        parameters,
+        {"branches": branches, "gaps": gaps},
+        csv_table=Table(
+            ("branch", *(f"e_{name}" for name in chosen)),
+            [(branch, *entry.values()) for branch, entry in branches.items()],
+        ),
     )
 
 
-def _run_sweep(options: dict) -> RunReport:
+def _run_sweep(options: dict) -> Report:
     mass = float(options["m"])
     field = _field_from_options(options)
     p_transverse = _parse_vector(options.get("p_transverse") or "0,0", 2, "--p-transverse")
@@ -232,6 +248,10 @@ def _run_sweep(options: dict) -> RunReport:
     count = int(options["count"])
     if count < 0:
         raise DomainError("--count must be non-negative")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise DomainError("momentum must be finite")
+    if not math.isfinite(stop - start):
+        raise DomainError("--p3-max - --p3-min overflows float64")
     parameters = {
         "m": mass,
         "k": options["k"],
@@ -266,44 +286,31 @@ def _run_sweep(options: dict) -> RunReport:
             energies.gap_exact,
         )
     )
-    return RunReport(
-        command="sweep",
-        parameters=parameters,
-        payload={},
-        header=header,
-        rows=table.tolist(),
-    )
+    return Report("sweep", parameters, {"rows": Table(header, table.tolist())})
 
 
-def _run_preference(options: dict) -> RunReport:
+def _run_preference(options: dict) -> Report:
     momentum = _parse_vector(options["p"], 3, "--p")
     field = _field_from_options(options)
     tol = _resolve(options, "tol", None)
     tol = float(tol) if tol is not None else default_degeneracy_tol(0.0, momentum)
     preference = preferred_branch(field, momentum, tol)
     table = select_table(field, momentum, tol)
-    signed = field.scale * float(np.dot(field.k, momentum))
     parameters = {
         "p": options["p"],
         "k": options["k"],
         "scale": field.scale,
         "tol": tol,
     }
-    payload = {
-        "signed_shift": signed,
+    fields = {
+        "signed_shift": signed_shift(field, momentum),
         "preference": preference.value,
         "table": table,
     }
-    return RunReport(
-        command="preference",
-        parameters=parameters,
-        payload=payload,
-        header=("signed_shift", "preference", "table"),
-        rows=((signed, preference.value, table),),
-    )
+    return Report("preference", parameters, fields)
 
 
-def _run_ring_spectrum(options: dict) -> RunReport:
+def _run_ring_spectrum(options: dict) -> Report:
     sites = int(options["sites"])
     length = float(options["length"])
     mass = float(options["m"])
@@ -343,16 +350,11 @@ def _run_ring_spectrum(options: dict) -> RunReport:
         "m": mass,
         "count": limit,
     }
-    return RunReport(
-        command="ring-spectrum",
-        parameters=parameters,
-        payload={},
-        header=("n", "e_n", "energy", "multiplicity"),
-        rows=tuple(rows),
-    )
+    header = ("n", "e_n", "energy", "multiplicity")
+    return Report("ring-spectrum", parameters, {"rows": Table(header, rows)})
 
 
-def _run_map_check(options: dict) -> RunReport:
+def _run_map_check(options: dict) -> Report:
     sites = int(options["sites"])
     length = float(options["length"])
     winding = int(options["winding"])
@@ -363,10 +365,7 @@ def _run_map_check(options: dict) -> RunReport:
     seed = int(options["seed"])
 
     theta = build_theta(sites, length, winding)
-    phase = half_phase(theta)
-    field = gradient_field(theta, scale=scale)
     rng = np.random.default_rng(seed)
-
     sections = []
     if options.get("section_file"):
         try:
@@ -380,50 +379,12 @@ def _run_map_check(options: dict) -> RunReport:
     if not sections:
         raise DomainError("nothing to check: no sections requested")
 
-    worst = {
-        "intertwine_plus": 0.0,
-        "intertwine_minus": 0.0,
-        "commutation": 0.0,
-        "density": 0.0,
-        "roundtrip": 0.0,
-    }
-    for section in sections:
-        worst["intertwine_plus"] = max(
-            worst["intertwine_plus"],
-            intertwining_residual(section, theta, mass, "plus", scale),
-        )
-        worst["intertwine_minus"] = max(
-            worst["intertwine_minus"],
-            intertwining_residual(section, theta, mass, "minus", scale),
-        )
-        worst["commutation"] = max(
-            worst["commutation"], commutation_residual(section, field, phase)
-        )
-        worst["density"] = max(worst["density"], density_residual(section, phase))
-        back = to_exotic(to_standard(section, phase), phase)
-        worst["roundtrip"] = float(
-            max(worst["roundtrip"], np.max(np.abs(back.values - section.values)))
-        )
-
-    kernel_section, energy = kernel_mode(theta, mass, harmonic=1, scale=scale)
-    kernel_residual = grid_norm(
-        exotic_dirac(kernel_section, theta, mass, "plus", scale, energy=energy).values,
-        length,
-    )
-    mapped_residual = grid_norm(
-        standard_dirac(to_standard(kernel_section, phase), mass, energy=energy).values,
-        length,
-    )
-
-    passed = (
-        worst["intertwine_plus"] <= tol
-        and worst["intertwine_minus"] <= tol
-        and worst["commutation"] <= 1e-15
-        and worst["density"] <= 1e-15
-        and worst["roundtrip"] <= 1e-15
-        and kernel_residual <= tol
-        and mapped_residual <= tol * (1.0 + 1e-6)
-    )
+    residuals = map_residuals(sections, theta, mass, scale)
+    kernel_residual, mapped_residual = kernel_residuals(theta, mass, 1, scale)
+    bounds = [(residuals[key], tol) for key in ("intertwine_plus", "intertwine_minus")]
+    bounds += [(residuals[key], 1e-15) for key in ("commutation", "density", "roundtrip")]
+    bounds += [(kernel_residual, tol), (mapped_residual, tol * (1.0 + 1e-6))]
+    passed = all(value <= bound for value, bound in bounds)
     parameters = {
         "sites": sites,
         "length": length,
@@ -434,18 +395,13 @@ def _run_map_check(options: dict) -> RunReport:
         "sections": len(sections),
         "seed": seed,
     }
-    payload = {
-        "residuals": worst,
+    fields = {
+        "residuals": residuals,
         "kernel_residual": kernel_residual,
         "mapped_kernel_residual": mapped_residual,
         "passed": passed,
     }
-    return RunReport(
-        command="map-check",
-        parameters=parameters,
-        payload=payload,
-        exit_code=0 if passed else 1,
-    )
+    return Report("map-check", parameters, fields, exit_code=0 if passed else 1)
 
 
 def _magma_from_options(options: dict) -> FiniteMagma:
@@ -462,42 +418,32 @@ def _magma_from_options(options: dict) -> FiniteMagma:
     return from_json(text)
 
 
-def _run_algebra_analyze(options: dict) -> RunReport:
+def _run_algebra_analyze(options: dict) -> Report:
     magma_obj = _magma_from_options(options)
     report = analyze(magma_obj)
-    payload = {
+    # tuples render as JSON arrays in both formats
+    fields = {
         "name": magma_obj.name,
-        "carrier": list(magma_obj.carrier),
-        "table": [list(row) for row in magma_obj.table],
-        "identities": list(report.identities),
-        "absorbers": list(report.absorbers),
-        "commutativity_violations": [list(pair) for pair in report.commutativity_violations],
+        "carrier": magma_obj.carrier,
+        "table": magma_obj.table,
+        "identities": report.identities,
+        "absorbers": report.absorbers,
+        "commutativity_violations": report.commutativity_violations,
         "associativity_violations": report.associativity_violations,
-        "associativity_witness": list(report.associativity_witness)
-        if report.associativity_witness
-        else None,
+        "associativity_witness": report.associativity_witness,
         "is_group": report.is_group,
     }
-    return RunReport(
-        command="algebra analyze",
-        parameters={"table": magma_obj.name},
-        payload=payload,
-    )
+    return Report("algebra analyze", {"table": magma_obj.name}, fields)
 
 
-def _run_algebra_compose(options: dict) -> RunReport:
+def _run_algebra_compose(options: dict) -> Report:
     magma_obj = _magma_from_options(options)
     result = compose(magma_obj, options["left"], options["right"])
-    return RunReport(
-        command="algebra compose",
-        parameters={"table": magma_obj.name},
-        payload={"left": options["left"], "right": options["right"], "result": result},
-        header=("left", "right", "result"),
-        rows=((options["left"], options["right"], result),),
-    )
+    fields = {"left": options["left"], "right": options["right"], "result": result}
+    return Report("algebra compose", {"table": magma_obj.name}, fields)
 
 
-def _run_algebra_chain(options: dict) -> RunReport:
+def _run_algebra_chain(options: dict) -> Report:
     momentum = _parse_vector(options["p"], 3, "--p")
     field = _field_from_options(options)
     tol = _resolve(options, "tol", None)
@@ -532,31 +478,20 @@ def _run_algebra_chain(options: dict) -> RunReport:
         "initial": options["initial"],
         "events": options["events"],
     }
-    payload = {
+    fields = {
         "initial_table": context.active_table,
         "final": final,
-        "trace": [
-            {"step": s.step, "table": s.table, "state": s.state} for s in trace
-        ],
+        "trace": Table(("step", "table", "state"), [(s.step, s.table, s.state) for s in trace]),
     }
-    return RunReport(command="algebra chain", parameters=parameters, payload=payload)
+    return Report("algebra chain", parameters, fields)
 
 
-def _run_verify(options: dict) -> RunReport:
-    checks = run_suite(options.get("suite") or "all")
-    lines = [
-        f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}"
-        for check in checks
-    ]
-    failed = sum(1 for check in checks if not check.passed)
-    lines.append(f"{len(checks) - failed}/{len(checks)} checks passed")
-    return RunReport(
-        command="verify",
-        parameters={"suite": options.get("suite") or "all"},
-        payload={"checks": len(checks), "failed": failed},
-        exit_code=0 if failed == 0 else 1,
-        text="\n".join(lines) + "\n",
-    )
+def _run_verify(options: dict) -> Report:
+    suite = options.get("suite") or "all"
+    rows = [(check.name, bool(check.passed), check.detail) for check in run_suite(suite)]
+    failed = sum(1 for _, passed, _ in rows if not passed)
+    fields = {"checks": Table(("name", "passed", "detail"), rows), "failed": failed}
+    return Report("verify", {"suite": suite}, fields, exit_code=0 if failed == 0 else 1)
 
 
 _RUNNERS = {
@@ -572,23 +507,11 @@ _RUNNERS = {
 }
 
 
-def run_command(request: CommandRequest) -> RunReport:
-    if request.command not in _RUNNERS:
-        raise DomainError(f"unknown command {request.command!r}")
-    started = time.perf_counter()
+def run_command(command: str, options: dict) -> Report:
+    if command not in _RUNNERS:
+        raise DomainError(f"unknown command {command!r}")
     # a copy, so that the config values _resolve keeps stay with this command
-    report = _RUNNERS[request.command](dict(request.options))
-    elapsed = time.perf_counter() - started
-    return RunReport(
-        command=report.command,
-        parameters=report.parameters,
-        payload=report.payload,
-        header=report.header,
-        rows=report.rows,
-        exit_code=report.exit_code,
-        wall_time=elapsed,
-        text=report.text,
-    )
+    return _RUNNERS[command](dict(options))
 
 
 def _add_common(parser: argparse.ArgumentParser, default_format: str) -> None:
@@ -700,17 +623,15 @@ def main(argv: list[str] | None = None) -> int:
     fmt = options.pop("format")
     destination = options.pop("out")
     timing = options.pop("timing")
+    started = time.perf_counter()
     try:
-        report = run_command(CommandRequest(command=command, options=options))
+        report = run_command(command, options)
         emit(report, fmt, destination)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if timing:
-        print(f"wall time: {report.wall_time:.6f} s", file=sys.stderr)
+        print(f"wall time: {time.perf_counter() - started:.6f} s", file=sys.stderr)
     return report.exit_code
 
 

@@ -200,7 +200,8 @@ def branch_energies(
 
 
 @np.errstate(**_QUIET)
-def _signed_shift(field: WindingGradient, momentum: np.ndarray) -> float:
+def signed_shift(field: WindingGradient, momentum: np.ndarray) -> float:
+    """s*(k.p) for one 3-momentum; rejected by name if it overflows float64."""
     momenta = np.asarray(momentum, dtype=float)[None, :]
     return float(_signed(momenta, field.k, field.scale)[0])
 
@@ -250,7 +251,7 @@ def degeneracy_gap(
     sign of s*(k.p) and full relative accuracy however small the gap.
     """
     if formula == "semiclassical":
-        return _signed_shift(field, momentum)
+        return signed_shift(field, momentum)
     if formula == "exact":
         momenta = np.asarray(momentum, dtype=float)[None, :]
         energies = branch_energies(mass, momenta, field.k, field.scale, "exact")
@@ -258,10 +259,17 @@ def degeneracy_gap(
     raise DomainError(f"unknown formula {formula!r}")
 
 
+@np.errstate(**_QUIET)
 def default_degeneracy_tol(mass: float, momentum: np.ndarray) -> float:
-    """Scale-aware threshold below which the branches count as degenerate."""
-    p = np.asarray(momentum, dtype=float)
-    return 1e-12 * (mass**2 + float(np.dot(p, p)) + 1.0)
+    """Scale-aware threshold below which the branches count as degenerate.
+
+    1e-12 * (m^2 + |p|^2 + 1); a momentum whose m^2 + |p|^2 overflows
+    float64 is rejected by name.
+    """
+    momenta = np.asarray(momentum, dtype=float)[None, :]
+    if not np.all(np.isfinite(momenta)):
+        raise DomainError("momentum must be finite")
+    return 1e-12 * (float(_rest(mass, momenta)[0]) + 1.0)
 
 
 def preferred_branch(
@@ -278,7 +286,7 @@ def preferred_branch(
         tol = default_degeneracy_tol(0.0, momentum)
     if tol <= 0.0 or not math.isfinite(tol):
         raise DomainError("tol must be positive")
-    signed = _signed_shift(field, momentum)
+    signed = signed_shift(field, momentum)
     if signed > tol:
         return Preference.PREFER_PLUS
     if signed < -tol:

@@ -42,12 +42,3 @@ GAMMA3 = np.array(
     ],
     dtype=complex,
 )
-
-GAMMAS = (GAMMA0, GAMMA1, GAMMA2, GAMMA3)
-METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
-
-
-def mode_matrix(energy: float, momentum) -> np.ndarray:
-    # gamma^mu p_mu for a plane-wave mode exp(-i E t + i p.x)
-    p1, p2, p3 = momentum
-    return energy * GAMMA0 - p1 * GAMMA1 - p2 * GAMMA2 - p3 * GAMMA3

@@ -26,9 +26,7 @@ import numpy as np
 
 from .dispersion import Structure, branch_energies
 from .errors import DomainError
-from .winding import WindingGradient
-
-TWO_PI = 2.0 * math.pi
+from .winding import TWO_PI, WindingGradient
 
 STRUCTURE_TWIST = {Structure.STANDARD: 0.0, Structure.EXOTIC: math.pi}
 

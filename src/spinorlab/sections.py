@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,7 +50,7 @@ import numpy as np
 from .dispersion import Structure
 from .errors import DomainError
 from .gamma import GAMMA0, GAMMA1, GAMMA2, GAMMA3
-from .winding import ThetaField, WindingGradient, pointwise_gradient
+from .winding import ThetaField, WindingGradient, gradient_field, pointwise_gradient
 
 __all__ = [
     "SampledSection",
@@ -63,6 +64,8 @@ __all__ = [
     "intertwining_residual",
     "commutation_residual",
     "density_residual",
+    "map_residuals",
+    "kernel_residuals",
     "grid_norm",
     "random_band_limited_section",
     "plane_wave_section",
@@ -301,6 +304,35 @@ def density_residual(section: SampledSection, phase: HalfWindingPhase) -> float:
     return float(np.max(np.abs(after - before)))
 
 
+def map_residuals(
+    sections: Iterable[SampledSection], theta: ThetaField, mass: float, scale: float = 1.0
+) -> dict[str, float]:
+    """Worst residual of each half-phase identity over the given sections.
+
+    Keys, in this order: intertwine_plus and intertwine_minus (grid norms,
+    see intertwining_residual), commutation, density, and roundtrip, the
+    sup norm of to_exotic(to_standard(psi)) - psi.  All are 0.0 when no
+    section is given.
+    """
+    phase = half_phase(theta)
+    field = gradient_field(theta, scale=scale)
+    worst = dict.fromkeys(
+        ("intertwine_plus", "intertwine_minus", "commutation", "density", "roundtrip"), 0.0
+    )
+    for section in sections:
+        back = to_exotic(to_standard(section, phase), phase)
+        residuals = (
+            intertwining_residual(section, theta, mass, "plus", scale),
+            intertwining_residual(section, theta, mass, "minus", scale),
+            commutation_residual(section, field, phase),
+            density_residual(section, phase),
+            float(np.max(np.abs(back.values - section.values))),
+        )
+        for key, value in zip(worst, residuals):
+            worst[key] = max(worst[key], value)
+    return worst
+
+
 def random_band_limited_section(
     sites: int,
     circumference: float,
@@ -394,6 +426,23 @@ def kernel_mode(
         theta.sites, theta.circumference, harmonic, spinor, Structure.EXOTIC
     )
     return section, energy
+
+
+def kernel_residuals(
+    theta: ThetaField, mass: float, harmonic: int, scale: float = 1.0
+) -> tuple[float, float]:
+    """Grid norms of D_plus on its kernel mode and of D0 on the mode's image.
+
+    The mode is kernel_mode's at this harmonic; the image is its transport
+    by the half-phase map.  Both residuals vanish to rounding.
+    """
+    section, energy = kernel_mode(theta, mass, harmonic, scale=scale)
+    image = to_standard(section, half_phase(theta))
+    length = theta.circumference
+    return (
+        grid_norm(exotic_dirac(section, theta, mass, "plus", scale, energy=energy).values, length),
+        grid_norm(standard_dirac(image, mass, energy=energy).values, length),
+    )
 
 
 def section_to_json(section: SampledSection) -> str:

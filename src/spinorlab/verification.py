@@ -33,19 +33,14 @@ from .lattice import (
     verify_dispersion,
 )
 from .sections import (
-    commutation_residual,
-    density_residual,
-    exotic_dirac,
-    grid_norm,
     half_phase,
-    intertwining_residual,
-    kernel_mode,
+    kernel_residuals,
+    map_residuals,
     random_band_limited_section,
-    standard_dirac,
-    to_exotic,
     to_standard,
 )
 from .winding import (
+    TWO_PI,
     WindingGradient,
     build_theta,
     gradient_field,
@@ -53,8 +48,6 @@ from .winding import (
     involuted,
     wrap_angle,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -175,36 +168,20 @@ def sections_checks(sections: int = 6, seed: int = 3) -> list[Check]:
     checks = []
     sites, length = 64, TWO_PI
     theta = build_theta(sites, length, 1)
-    phase = half_phase(theta)
     rng = np.random.default_rng(seed)
 
-    worst_plus = worst_minus = worst_comm = worst_density = worst_round = 0.0
-    field = gradient_field(theta)
-    for _ in range(sections):
-        section = random_band_limited_section(sites, length, rng)
-        worst_plus = max(
-            worst_plus, intertwining_residual(section, theta, 1.0, "plus")
-        )
-        worst_minus = max(
-            worst_minus, intertwining_residual(section, theta, 1.0, "minus")
-        )
-        worst_comm = max(worst_comm, commutation_residual(section, field, phase))
-        worst_density = max(worst_density, density_residual(section, phase))
-        back = to_exotic(to_standard(section, phase), phase)
-        worst_round = max(worst_round, float(np.max(np.abs(back.values - section.values))))
-    checks.append(Check("intertwine-plus", worst_plus <= 1e-10, f"max {worst_plus:.3g}"))
-    checks.append(Check("intertwine-minus", worst_minus <= 1e-10, f"max {worst_minus:.3g}"))
-    checks.append(Check("phase-commutation", worst_comm <= 1e-15, f"max {worst_comm:.3g}"))
-    checks.append(Check("density-invariance", worst_density <= 1e-15, f"max {worst_density:.3g}"))
-    checks.append(Check("map-roundtrip", worst_round <= 1e-15, f"max {worst_round:.3g}"))
+    drawn = [random_band_limited_section(sites, length, rng) for _ in range(sections)]
+    worst = map_residuals(drawn, theta, 1.0)
+    for name, key, bound in (
+        ("intertwine-plus", "intertwine_plus", 1e-10),
+        ("intertwine-minus", "intertwine_minus", 1e-10),
+        ("phase-commutation", "commutation", 1e-15),
+        ("density-invariance", "density", 1e-15),
+        ("map-roundtrip", "roundtrip", 1e-15),
+    ):
+        checks.append(Check(name, worst[key] <= bound, f"max {worst[key]:.3g}"))
 
-    section, energy = kernel_mode(theta, 1.0, harmonic=2)
-    ker = grid_norm(
-        exotic_dirac(section, theta, 1.0, "plus", energy=energy).values, length
-    )
-    mapped = grid_norm(
-        standard_dirac(to_standard(section, phase), 1.0, energy=energy).values, length
-    )
+    ker, mapped = kernel_residuals(theta, 1.0, 2)
     ok = ker <= 1e-10 and mapped <= 1e-10
     checks.append(
         Check("kernel-transport", ok, f"kernel {ker:.3g}, mapped {mapped:.3g}")

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import warnings
@@ -163,6 +165,9 @@ def test_sweep_exact_gap_keeps_the_sign_at_tiny_gradient(capsys):
          "--count", "2"),
         ("sweep", "--m", "1", "--k", "0,0,0.1", "--p3-min", "0", "--p3-max", "1e200",
          "--count", "2", "--format", "json"),
+        # no --tol: the default degeneracy tol is what overflows
+        ("preference", "--p", "0,0,1e200", "--k", "0,0,1e200"),
+        ("preference", "--p", "0,0,1e200", "--k", "0,0,1e200", "--format", "csv"),
     ],
 )
 def test_overflow_exits_3_without_output_or_warnings(capsys, argv):
@@ -172,6 +177,41 @@ def test_overflow_exits_3_without_output_or_warnings(capsys, argv):
     assert code == 3
     assert out == ""
     assert err == "error: m^2 + |p|^2 overflows float64 at p = (0.0, 0.0, 1e+200)\n"
+
+
+def test_chain_default_tol_overflow_exits_3_without_warnings(capsys, tmp_path):
+    events = tmp_path / "events.json"
+    events.write_text(json.dumps([{"operand": "(a,b)"}]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "algebra", "chain", "--initial", "(a,b)", "--events", str(events),
+            "--p", "0,0,1e200", "--k", "0,0,1e200",
+        )
+    assert code == 3
+    assert out == ""
+    assert err == "error: m^2 + |p|^2 overflows float64 at p = (0.0, 0.0, 1e+200)\n"
+
+
+@pytest.mark.parametrize(
+    "low, high, message",
+    [
+        ("0", "inf", "momentum must be finite"),
+        ("-inf", "0", "momentum must be finite"),
+        ("nan", "1", "momentum must be finite"),
+        ("-1e308", "1e308", "--p3-max - --p3-min overflows float64"),
+    ],
+)
+def test_sweep_rejects_an_unbounded_range_without_warnings(capsys, low, high, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "sweep", "--m", "1", "--k", "0,0,0.1", f"--p3-min={low}",
+            f"--p3-max={high}", "--count", "3",
+        )
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_preference_overflow_exits_3(capsys):
@@ -363,6 +403,28 @@ def test_algebra_compose(capsys):
     assert json.loads(out)["result"] == "(ab,·)"
 
 
+def test_compose_csv_quotes_labels_with_commas(capsys):
+    code, out, _ = run(
+        capsys, "algebra", "compose", "--table", "prefer_standard", "(ab,.)", "(b,a)",
+        "--format", "csv",
+    )
+    assert code == 0
+    assert out == '# table = prefer_standard\nleft,right,result\n"(ab,.)","(b,a)","(ab,·)"\n'
+    records = list(csv.reader(io.StringIO(out)))
+    assert records[1:] == [["left", "right", "result"], ["(ab,.)", "(b,a)", "(ab,·)"]]
+
+
+def test_csv_cells_double_inner_quotes(capsys, tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"name": "q", "carrier": ['a"b', "c"], "table": [[0, 1], [1, 0]]}))
+    code, out, _ = run(
+        capsys, "algebra", "compose", "--table-file", str(path), 'a"b', "c", "--format", "csv"
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == '"a""b",c,c'
+    assert list(csv.reader(io.StringIO(out)))[-1] == ['a"b', "c", "c"]
+
+
 def test_algebra_chain_with_involution(capsys, tmp_path):
     events = tmp_path / "events.json"
     events.write_text(json.dumps([{"operand": "(a,b)", "involute": True}]))
@@ -399,9 +461,121 @@ def test_algebra_chain_z2_rejects_preference_operand(capsys, tmp_path):
 def test_verify_suite_output(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "winding")
     assert code == 0
-    lines = out.strip().splitlines()
-    assert all(line.startswith("PASS") for line in lines[:-1])
-    assert lines[-1].endswith("checks passed")
+    document = json.loads(out)
+    assert list(document) == ["command", "parameters", "checks", "failed"]
+    assert document["parameters"] == {"suite": "winding"}
+    assert [check["name"] for check in document["checks"]] == [
+        "holonomy-wound", "holonomy-flat", "holonomy-random", "involution"
+    ]
+    for check in document["checks"]:
+        assert list(check) == ["name", "passed", "detail"]
+        assert check["passed"] is True
+        assert isinstance(check["detail"], str) and check["detail"]
+    assert document["failed"] == 0
+
+
+VERIFY_NAMES = [
+    "holonomy-wound", "holonomy-flat", "holonomy-random", "involution",
+    "frozen-first-order", "frozen-closed-form", "gap-sign", "gap-expansion",
+    "flat-collapse", "perpendicular-degenerate",
+    "intertwine-plus", "intertwine-minus", "phase-commutation", "density-invariance",
+    "map-roundtrip", "kernel-transport", "flat-identity",
+    "z2-group", "prefer-standard-structure", "prefer-exotic-structure", "magma-json",
+    "chain-identity-start", "chain-involution-swap", "chain-double-involution",
+    "chain-parity", "chain-degenerate-guard", "chain-absorber",
+    "quantization", "degeneracy-lifting", "charge-symmetry", "lattice-vs-closed-form",
+    "twist-mismatch-detected",
+]
+
+
+def test_verify_all_suites_pass_in_both_formats(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--format", "json")
+    assert code == 0
+    document = json.loads(out)
+    assert [check["name"] for check in document["checks"]] == VERIFY_NAMES
+    assert all(check["passed"] is True for check in document["checks"])
+    assert document["failed"] == 0
+    code, out, _ = run(capsys, "verify", "--format", "csv")
+    assert code == 0
+    records = list(csv.reader(io.StringIO(out)))
+    assert records[:4] == [["# suite = all"], ["failed"], ["0"], ["name", "passed", "detail"]]
+    expected = [[c["name"], "true", c["detail"]] for c in document["checks"]]
+    assert records[4:] == expected
+
+
+def _csv_cell(value):
+    """What the CSV renderer prints for one JSON value."""
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    if isinstance(value, str):
+        return value
+    return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
+
+
+def _is_table(value):
+    return isinstance(value, list) and bool(value) and all(isinstance(v, dict) for v in value)
+
+
+def _csv_parameters(records):
+    parameters = {}
+    while records and records[0] and records[0][0].startswith("# "):
+        # the comment lines are not quoted, so a comma splits them into cells
+        key, _, value = ",".join(records.pop(0))[2:].partition(" = ")
+        parameters[key] = value
+    return parameters
+
+
+COMMANDS = [
+    ("sweep", "--m", "1", "--k", "0,0.01,0.02", "--p3-min=-1", "--p3-max", "1", "--count", "4"),
+    ("preference", "--p", "0,0,0.5", "--k", "0,0,-0.01"),
+    ("ring-spectrum", "--sites", "8", "--length", "6.28", "--structure", "exotic"),
+    ("map-check", "--sites", "16", "--sections", "2"),
+    ("algebra", "analyze", "--table", "prefer_standard"),
+    ("algebra", "compose", "--table", "prefer_exotic", "(ab,.)", "(a,b)"),
+    ("algebra", "chain", "--initial", "(a,b)", "--events", "EVENTS", "--p", "0,0,0.5",
+     "--k", "0,0,0.01"),
+    ("verify", "--suite", "chains"),
+]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+def test_csv_carries_every_json_value(capsys, tmp_path, argv):
+    events = tmp_path / "events.json"
+    events.write_text(json.dumps([{"operand": "(b,a)", "involute": True}, {"operand": "(a,b)"}]))
+    argv = [str(events) if arg == "EVENTS" else arg for arg in argv]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    document = json.loads(out)
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    records = list(csv.reader(io.StringIO(out)))
+    parameters = _csv_parameters(records)
+    assert parameters == {key: cli._fmt12(value) for key, value in document["parameters"].items()}
+    fields = {k: v for k, v in document.items() if k not in ("command", "parameters")}
+    single = {k: v for k, v in fields.items() if not _is_table(v)}
+    if single:
+        assert records.pop(0) == list(single)
+        assert records.pop(0) == [_csv_cell(v) for v in single.values()]
+    for value in fields.values():
+        if _is_table(value):
+            assert records.pop(0) == list(value[0])
+            for row in value:
+                assert records.pop(0) == [_csv_cell(cell) for cell in row.values()]
+    assert records == []
+
+
+def test_dispersion_csv_is_its_branch_table(capsys):
+    # the one command whose CSV is its own table: the branches, not the gaps
+    _, out, _ = run(capsys, *DISPERSION_ARGS, "--format", "json")
+    branches = json.loads(out)["branches"]
+    _, out, _ = run(capsys, *DISPERSION_ARGS)
+    records = list(csv.reader(io.StringIO(out)))
+    _csv_parameters(records)
+    assert records[0] == ["branch", "e_semiclassical", "e_exact"]
+    assert records[1:] == [
+        [name, _csv_cell(b["semiclassical"]), _csv_cell(b["exact"])]
+        for name, b in branches.items()
+    ]
 
 
 def test_config_file_supplies_scale(capsys, tmp_path):

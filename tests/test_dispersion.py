@@ -322,6 +322,18 @@ def test_overflow_is_a_domain_error_without_warnings(mass, momentum, k, scale, l
             dispersion_exact(ModeSpec(mass, np.array(momentum), Branch.EXOTIC_MINUS), field)
 
 
+def test_default_tol_overflow_is_named_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as caught:
+            default_degeneracy_tol(0.0, np.array([0.0, 0.0, 1e200]))
+        assert str(caught.value) == "m^2 + |p|^2 overflows float64 at p = (0.0, 0.0, 1e+200)"
+        with pytest.raises(DomainError, match="momentum must be finite"):
+            default_degeneracy_tol(0.0, np.array([0.0, np.inf, 0.0]))
+    # the largest finite m^2 + |p|^2 still gives a finite, positive tol
+    assert 0.0 < default_degeneracy_tol(0.0, np.array([0.0, 0.0, 1e154])) < np.inf
+
+
 def test_scalar_overflow_is_a_domain_error():
     huge = ModeSpec(1.0, np.array([0.0, 0.0, 1e200]), Branch.STANDARD)
     with pytest.raises(DomainError, match="overflows"):
