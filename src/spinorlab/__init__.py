@@ -20,13 +20,10 @@ from .chains import (
 from .dispersion import (
     Branch,
     BranchEnergies,
-    KernelClass,
     ModeSpec,
     Preference,
-    SectorLabel,
     Structure,
     branch_energies,
-    classify_mode,
     default_degeneracy_tol,
     degeneracy_gap,
     dispersion_exact,
@@ -73,13 +70,11 @@ __all__ = [
     "DomainError",
     "FiniteMagma",
     "HalfWindingPhase",
-    "KernelClass",
     "ModeSpec",
     "Preference",
     "PreferenceContext",
     "RingSpec",
     "SampledSection",
-    "SectorLabel",
     "Spectrum",
     "Structure",
     "StructureReport",
@@ -90,7 +85,6 @@ __all__ = [
     "build_context",
     "build_theta",
     "builtin",
-    "classify_mode",
     "commutation_residual",
     "compose",
     "default_degeneracy_tol",

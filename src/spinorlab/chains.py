@@ -24,7 +24,7 @@ import numpy as np
 
 from .dispersion import Preference, default_degeneracy_tol, preferred_branch
 from .errors import DomainError
-from .magma import FiniteMagma, builtin, compose, normalize_label
+from .magma import BUILTIN_NAMES, builtin, compose, normalize_label
 from .winding import WindingGradient, involuted
 
 _Z2_ALIASES = {"S": "S", "C": "C", "(a,b)": "S", "(b,a)": "C"}
@@ -35,6 +35,8 @@ _TABLES = {
     Preference.PREFER_MINUS: "prefer_exotic",
     Preference.DEGENERATE: "z2",
 }
+
+_MAGMAS = {name: builtin(name) for name in BUILTIN_NAMES}
 
 
 def select_table(
@@ -122,14 +124,12 @@ def run_chain(
     field = context.field
     active = context.active_table
     state = _admit(initial, active)
-    tables: dict[str, FiniteMagma] = {name: builtin(name) for name in
-                                      ("z2", "prefer_standard", "prefer_exotic")}
     trace: list[ChainStep] = []
     for position, event in enumerate(events, start=1):
         if event.involute_first:
             field = involuted(field)
             active = select_table(field, context.momentum, context.tol)
         operand = _admit(event.operand, active)
-        state = compose(tables[active], state, operand)
+        state = compose(_MAGMAS[active], state, operand)
         trace.append(ChainStep(step=position, table=active, state=state))
     return state, tuple(trace)

@@ -38,15 +38,16 @@ from .dispersion import (
     signed_shift,
 )
 from .errors import DomainError
-from .lattice import RingSpec, _group_levels, ring_spectrum
-from .magma import FiniteMagma, analyze, builtin, compose, from_json
+from .lattice import STRUCTURE_TWIST, RingSpec, _group_levels, ring_spectrum
+from .magma import BUILTIN_NAMES, FiniteMagma, analyze, builtin, compose, from_json
 from .sections import (
+    MAP_BOUNDS,
     kernel_residuals,
     map_residuals,
     random_band_limited_section,
     section_from_json,
 )
-from .verification import run_suite
+from .verification import SUITES, run_suite
 from .winding import TWO_PI, WindingGradient, build_theta
 
 
@@ -74,9 +75,13 @@ class Report:
 
 
 def _fmt12(value) -> str:
+    """A parameter comment value: a float to 12 digits, a line break as a JSON string."""
     if isinstance(value, float):
         return f"{value:.12g}"
-    return str(value)
+    text = str(value)
+    if "\n" in text or "\r" in text:
+        return json.dumps(text, ensure_ascii=False)
+    return text
 
 
 def _cell(value) -> str:
@@ -321,8 +326,7 @@ def _run_ring_spectrum(options: dict) -> Report:
     if twist_flag is not None:
         twist = float(twist_flag)
     else:
-        structure = Structure(structure_flag or "standard")
-        twist = 0.0 if structure is Structure.STANDARD else math.pi
+        twist = STRUCTURE_TWIST[Structure(structure_flag or "standard")]
     spec = RingSpec(sites=sites, circumference=length, twist=twist, mass=mass)
     momenta = ring_spectrum(spec, first_order=True)
     flat = np.repeat(momenta.eigenvalues, momenta.multiplicities)
@@ -381,8 +385,9 @@ def _run_map_check(options: dict) -> Report:
 
     residuals = map_residuals(sections, theta, mass, scale)
     kernel_residual, mapped_residual = kernel_residuals(theta, mass, 1, scale)
-    bounds = [(residuals[key], tol) for key in ("intertwine_plus", "intertwine_minus")]
-    bounds += [(residuals[key], 1e-15) for key in ("commutation", "density", "roundtrip")]
+    bounds = [
+        (residuals[key], tol if bound is None else bound) for key, bound in MAP_BOUNDS.items()
+    ]
     bounds += [(kernel_residual, tol), (mapped_residual, tol * (1.0 + 1e-6))]
     passed = all(value <= bound for value, bound in bounds)
     parameters = {
@@ -580,12 +585,12 @@ def build_parser() -> argparse.ArgumentParser:
     algebra_sub = algebra.add_subparsers(dest="subcommand", required=True)
 
     p = algebra_sub.add_parser("analyze", help="exhaustive structure report")
-    p.add_argument("--table", choices=("z2", "prefer_standard", "prefer_exotic"), default=None)
+    p.add_argument("--table", choices=BUILTIN_NAMES, default=None)
     p.add_argument("--table-file", dest="table_file", default=None, help="magma JSON file")
     _add_common(p, "json")
 
     p = algebra_sub.add_parser("compose", help="one table lookup")
-    p.add_argument("--table", choices=("z2", "prefer_standard", "prefer_exotic"), default=None)
+    p.add_argument("--table", choices=BUILTIN_NAMES, default=None)
     p.add_argument("--table-file", dest="table_file", default=None)
     p.add_argument("left")
     p.add_argument("right")
@@ -603,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run invariant suites")
     p.add_argument(
         "--suite",
-        choices=("all", "winding", "dispersion", "sections", "algebra", "chains", "lattice"),
+        choices=("all", *SUITES),
         default="all",
     )
     _add_common(p, "json")

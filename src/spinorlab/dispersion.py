@@ -41,13 +41,6 @@ class Structure(Enum):
     EXOTIC = "exotic"
 
 
-class KernelClass(Enum):
-    """Whether a mode annihilates the standard operator or only the shifted one."""
-
-    STANDARD_DIRAC = "standard_dirac"
-    AMORPHOUS = "amorphous"
-
-
 class Preference(Enum):
     PREFER_PLUS = "prefer_plus"
     PREFER_MINUS = "prefer_minus"
@@ -71,12 +64,6 @@ class ModeSpec:
             raise DomainError("mass must be finite and non-negative")
         if not isinstance(self.branch, Branch):
             raise DomainError("branch must be a Branch value")
-
-
-@dataclass(frozen=True)
-class SectorLabel:
-    structure: Structure
-    kernel: KernelClass
 
 
 class BranchEnergies(NamedTuple):
@@ -260,16 +247,18 @@ def degeneracy_gap(
 
 
 @np.errstate(**_QUIET)
-def default_degeneracy_tol(mass: float, momentum: np.ndarray) -> float:
+def default_degeneracy_tol(mass: float, momentum: np.ndarray):
     """Scale-aware threshold below which the branches count as degenerate.
 
-    1e-12 * (m^2 + |p|^2 + 1); a momentum whose m^2 + |p|^2 overflows
-    float64 is rejected by name.
+    1e-12 * (m^2 + |p|^2 + 1): a float for one 3-momentum, an array for an
+    (N, 3) batch.  A momentum whose m^2 + |p|^2 overflows float64 is
+    rejected by name.
     """
-    momenta = np.asarray(momentum, dtype=float)[None, :]
+    momenta = np.atleast_2d(np.asarray(momentum, dtype=float))
     if not np.all(np.isfinite(momenta)):
         raise DomainError("momentum must be finite")
-    return 1e-12 * (float(_rest(mass, momenta)[0]) + 1.0)
+    tol = 1e-12 * (_rest(mass, momenta) + 1.0)
+    return tol if np.ndim(momentum) == 2 else float(tol[0])
 
 
 def preferred_branch(
@@ -293,27 +282,3 @@ def preferred_branch(
         return Preference.PREFER_MINUS
     return Preference.DEGENERATE
 
-
-def classify_mode(
-    residual_standard: float,
-    residual_exotic: float,
-    structure: Structure,
-    tol: float,
-) -> SectorLabel:
-    """Label a mode by structure and by which operator kernel it sits in.
-
-    A mode annihilated by the standard operator (residual_standard <= tol)
-    carries the standard Dirac kernel label; otherwise it is amorphous.  The
-    exotic-operator residual is accepted for reporting symmetry but does not
-    enter the decision.
-    """
-    if residual_standard < 0.0 or residual_exotic < 0.0:
-        raise DomainError("residuals must be non-negative")
-    if tol <= 0.0 or not math.isfinite(tol):
-        raise DomainError("tol must be positive")
-    if not isinstance(structure, Structure):
-        raise DomainError("structure must be a Structure value")
-    kernel = (
-        KernelClass.STANDARD_DIRAC if residual_standard <= tol else KernelClass.AMORPHOUS
-    )
-    return SectorLabel(structure=structure, kernel=kernel)

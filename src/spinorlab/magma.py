@@ -49,7 +49,13 @@ _PREFER_EXOTIC_ROWS = (
     (f"({DOT},ab)", "(b,a)", f"({DOT},ab)", "(a,b)"),
 )
 
-BUILTIN_NAMES = ("z2", "prefer_standard", "prefer_exotic")
+_BUILTINS = {
+    "z2": (("S", "C"), _Z2_ROWS),
+    "prefer_standard": (_PREFERENCE_CARRIER, _PREFER_STANDARD_ROWS),
+    "prefer_exotic": (_PREFERENCE_CARRIER, _PREFER_EXOTIC_ROWS),
+}
+
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def normalize_label(label: str) -> str:
@@ -101,22 +107,10 @@ def _rows_to_table(carrier: tuple[str, ...], rows) -> tuple[tuple[int, ...], ...
 
 
 def builtin(name: str) -> FiniteMagma:
-    if name == "z2":
-        carrier = ("S", "C")
-        return FiniteMagma("z2", carrier, _rows_to_table(carrier, _Z2_ROWS))
-    if name == "prefer_standard":
-        return FiniteMagma(
-            "prefer_standard",
-            _PREFERENCE_CARRIER,
-            _rows_to_table(_PREFERENCE_CARRIER, _PREFER_STANDARD_ROWS),
-        )
-    if name == "prefer_exotic":
-        return FiniteMagma(
-            "prefer_exotic",
-            _PREFERENCE_CARRIER,
-            _rows_to_table(_PREFERENCE_CARRIER, _PREFER_EXOTIC_ROWS),
-        )
-    raise DomainError(f"unknown builtin table {name!r}")
+    if name not in _BUILTINS:
+        raise DomainError(f"unknown builtin table {name!r}")
+    carrier, rows = _BUILTINS[name]
+    return FiniteMagma(name, carrier, _rows_to_table(carrier, rows))
 
 
 def compose(magma: FiniteMagma, left: str, right: str) -> str:

@@ -1,325 +1,109 @@
 """Acceptance gate: one test and one printed PASS/FAIL line per criterion.
 
-Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines; each test also asserts, so a plain pytest run fails loudly.
+Each criterion is a view of the ``verify`` suites: the table below names
+the suites it runs, at the sizes used here, and the checks that make up
+the criterion.  The printed line joins those checks' details, and every
+check is asserted.  Run with ``pytest tests/test_acceptance.py -s`` to see
+the lines.
 """
 
+import contextlib
+import functools
+import io
 import json
-import math
 
-import numpy as np
-
-from spinorlab.chains import ChainEvent, build_context, run_chain, select_table
 from spinorlab.cli import main
-from spinorlab.dispersion import (
-    Branch,
-    ModeSpec,
-    Preference,
-    Structure,
-    default_degeneracy_tol,
-    degeneracy_gap,
-    dispersion_exact,
-    dispersion_semiclassical,
-    preferred_branch,
+from spinorlab.verification import (
+    Check,
+    algebra_checks,
+    chains_checks,
+    dispersion_checks,
+    lattice_checks,
+    sections_checks,
+    winding_checks,
 )
-from spinorlab.lattice import RingSpec, dirac_ring_spectrum, verify_dispersion
-from spinorlab.magma import analyze, builtin
-from spinorlab.sections import (
-    commutation_residual,
-    density_residual,
-    half_phase,
-    intertwining_residual,
-    random_band_limited_section,
-    to_standard,
-)
-from spinorlab.winding import WindingGradient, build_theta, gradient_field, involuted
 
-TWO_PI = 2.0 * math.pi
+DISPERSION = functools.partial(dispersion_checks, samples=1200, seed=2024)
+SECTIONS = functools.partial(sections_checks, sections=20, seed=31)
 
-AB = "(a,b)"
-ABDOT = "(ab,·)"
-DOTAB = "(·,ab)"
-BA = "(b,a)"
+CRITERIA = {
+    "reference-point branch energies": ((DISPERSION,), ("frozen-first-order",)),
+    "splitting sign consistency": ((DISPERSION,), ("gap-sign", "perpendicular-degenerate")),
+    "first-order gap asymptotics": ((DISPERSION,), ("gap-expansion",)),
+    "unit-winding holonomy": ((winding_checks,), ("holonomy-wound", "holonomy-flat")),
+    "phase-map operator identities": (
+        (SECTIONS,),
+        ("intertwine-plus", "intertwine-minus", "phase-commutation", "density-invariance"),
+    ),
+    "two-structure ring spectra": (
+        (lattice_checks,),
+        ("degeneracy-lifting", "lattice-vs-closed-form"),
+    ),
+    "built-in table structure reports": (
+        (algebra_checks,),
+        ("z2-group", "prefer-standard-structure", "prefer-exotic-structure"),
+    ),
+    "chain semantics": (
+        (chains_checks,),
+        ("chain-parity", "chain-absorber", "chain-double-involution"),
+    ),
+    "flat-sector degeneration": ((DISPERSION, SECTIONS), ("flat-collapse", "flat-identity")),
+}
 
 
-def _line(label: str, passed: bool, detail: str) -> None:
-    print(f"{'PASS' if passed else 'FAIL'} {label}: {detail}")
-    assert passed, f"{label}: {detail}"
+@functools.cache
+def _run(suite) -> dict[str, Check]:
+    return {check.name: check for check in suite()}
 
 
-def _draw(rng):
-    """One random (m, p, k) with |k| <= 1e-2 (|p| + m)."""
-    m = float(rng.uniform(0.2, 2.0))
-    p = rng.uniform(-2.0, 2.0, 3)
-    k = rng.uniform(-1.0, 1.0, 3)
-    k *= rng.uniform(0.1, 1.0) * 1e-2 * (np.linalg.norm(p) + m) / np.linalg.norm(k)
-    return m, p, k
+def _gate(criterion: str, *extra: Check) -> None:
+    suites, names = CRITERIA[criterion]
+    found = {name: check for suite in suites for name, check in _run(suite).items()}
+    checks = [found[name] for name in names] + list(extra)
+    passed = all(check.passed for check in checks)
+    details = "; ".join(f"{check.name} {check.detail}" for check in checks)
+    print(f"{'PASS' if passed else 'FAIL'} {criterion}: {details}")
+    for check in checks:
+        assert check.passed, f"{criterion}: {check.name}: {check.detail}"
 
 
 def test_reference_point_branch_energies():
-    m, p = 1.0, np.array([0.0, 0.0, 0.5])
-    field = WindingGradient(k=np.array([0.0, 0.0, 0.01]), holonomy=0.01)
-    e_plus = dispersion_semiclassical(ModeSpec(m, p, Branch.EXOTIC_PLUS), field)
-    e_minus = dispersion_semiclassical(ModeSpec(m, p, Branch.EXOTIC_MINUS), field)
-    gap = degeneracy_gap(m, p, field, "semiclassical")
-    ok = (
-        abs(e_plus - 1.2475) <= 1e-12
-        and abs(e_minus - 1.2525) <= 1e-12
-        and gap == 0.005
-    )
-    _line(
-        "reference-point branch energies",
-        ok,
-        f"E+ = {e_plus!r}, E- = {e_minus!r}, gap = {gap!r} (gap exact by identity)",
-    )
+    _gate("reference-point branch energies")
 
 
 def test_splitting_sign_consistency():
-    rng = np.random.default_rng(2024)
-    checked = 0
-    violations = 0
-    for _ in range(1200):
-        m, p, k = _draw(rng)
-        field = WindingGradient(k=k, holonomy=float(k[2]))
-        align = float(np.dot(k, p))
-        gap_semi = degeneracy_gap(m, p, field, "semiclassical")
-        gap_exact = degeneracy_gap(m, p, field, "exact")
-        tol = default_degeneracy_tol(0.0, p)
-        degenerate = preferred_branch(field, p, tol) is Preference.DEGENERATE
-        if degenerate != (abs(align) <= tol):
-            violations += 1
-        if abs(align) > tol:
-            sign = math.copysign(1.0, align)
-            if math.copysign(1.0, gap_semi) != sign:
-                violations += 1
-            if gap_exact == 0.0 or math.copysign(1.0, gap_exact) != sign:
-                violations += 1
-        checked += 1
-    # crafted degenerate cases: orthogonal and sub-threshold alignments
-    p = np.array([0.0, 0.0, 1.0])
-    tol = default_degeneracy_tol(0.0, p)
-    for kz, expect in ((0.0, True), (0.4 * tol, True), (3.0 * tol, False)):
-        field = WindingGradient(k=np.array([0.0, 0.0, kz]), holonomy=kz)
-        is_degenerate = preferred_branch(field, p, tol) is Preference.DEGENERATE
-        if is_degenerate != expect:
-            violations += 1
-        checked += 1
-    _line(
-        "splitting sign consistency",
-        violations == 0,
-        f"{checked} cases, {violations} violations",
-    )
+    _gate("splitting sign consistency")
 
 
 def test_first_order_gap_asymptotics():
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    ok = True
-    for _ in range(1200):
-        m, p, k = _draw(rng)
-        field = WindingGradient(k=k, holonomy=float(k[2]))
-        gap = degeneracy_gap(m, p, field, "exact")
-        first_order = 2.0 * float(np.dot(k, p)) / math.sqrt(m**2 + float(np.dot(p, p)))
-        error = abs(gap - first_order)
-        bound = 10.0 * float(np.dot(k, k))
-        worst = max(worst, error / bound)
-        ok = ok and error <= bound
-    _line(
-        "first-order gap asymptotics",
-        ok,
-        f"max |error| / (10 |k|^2) = {worst:.3e}",
-    )
+    _gate("first-order gap asymptotics")
 
 
 def test_unit_winding_holonomy():
-    wound = gradient_field(build_theta(64, TWO_PI, 1))
-    flat = gradient_field(build_theta(64, TWO_PI, 0))
-    ok = abs(wound.holonomy - TWO_PI) <= 1e-10 and flat.holonomy == 0.0
-    _line(
-        "unit-winding holonomy",
-        ok,
-        f"|loop integral - 2 pi| = {abs(wound.holonomy - TWO_PI):.3e}, "
-        f"flat = {flat.holonomy!r}",
-    )
+    _gate("unit-winding holonomy")
 
 
 def test_phase_map_operator_identities():
-    rng = np.random.default_rng(31)
-    theta = build_theta(64, TWO_PI, 1)
-    phase = half_phase(theta)
-    field = gradient_field(theta)
-    worst_intertwine = 0.0
-    worst_commutation = 0.0
-    worst_density = 0.0
-    for _ in range(20):
-        section = random_band_limited_section(64, TWO_PI, rng)
-        for direction in ("plus", "minus"):
-            worst_intertwine = max(
-                worst_intertwine,
-                intertwining_residual(section, theta, 1.0, direction, 1.0),
-            )
-        worst_commutation = max(
-            worst_commutation, commutation_residual(section, field, phase)
-        )
-        worst_density = max(worst_density, density_residual(section, phase))
-    ok = (
-        worst_intertwine <= 1e-10
-        and worst_commutation <= 1e-15
-        and worst_density <= 1e-15
-    )
-    _line(
-        "phase-map operator identities",
-        ok,
-        f"intertwine {worst_intertwine:.3e}, commutation {worst_commutation:.3e}, "
-        f"density {worst_density:.3e} over 20 sections",
-    )
+    _gate("phase-map operator identities")
 
 
 def test_two_structure_ring_spectra():
-    massive = RingSpec(sites=8, circumference=TWO_PI, twist=0.0, mass=1.0)
-    standard = dirac_ring_spectrum(massive, Structure.STANDARD)
-    exotic = dirac_ring_spectrum(massive, Structure.EXOTIC)
-    massless = RingSpec(sites=8, circumference=TWO_PI, twist=0.0, mass=0.0)
-    standard0 = dirac_ring_spectrum(massless, Structure.STANDARD)
-    exotic0 = dirac_ring_spectrum(massless, Structure.EXOTIC)
-    report = verify_dispersion(
-        RingSpec(sites=8, circumference=TWO_PI, twist=math.pi, mass=1.0),
-        gradient_field(build_theta(64, TWO_PI, 1), scale=0.5),
-        tol=1e-12,
-    )
-    ok = (
-        abs(standard.eigenvalues[0] - 1.0) <= 1e-9
-        and standard.multiplicities[0] == 1
-        and abs(exotic.eigenvalues[0] - math.sqrt(1.25)) <= 1e-9
-        and exotic.multiplicities[0] == 2
-        and abs(standard0.eigenvalues[0]) <= 1e-12
-        and abs(exotic0.eigenvalues[0] - 0.5) <= 1e-12
-        and report.passed
-        and report.max_deviation <= 1e-12
-    )
-    _line(
-        "two-structure ring spectra",
-        ok,
-        f"grounds {standard.eigenvalues[0]:.12f} (x{standard.multiplicities[0]}) / "
-        f"{exotic.eigenvalues[0]:.12f} (x{exotic.multiplicities[0]}), "
-        f"massless gap {exotic0.eigenvalues[0]:.3f}, "
-        f"lattice-vs-closed-form deviation {report.max_deviation:.3e}",
-    )
+    _gate("two-structure ring spectra")
 
 
 def test_builtin_table_structure_reports():
-    z2 = analyze(builtin("z2"))
-    standard = analyze(builtin("prefer_standard"))
-    exotic = analyze(builtin("prefer_exotic"))
-    ok = (
-        z2.is_group
-        and z2.identities == ("S",)
-        and z2.commutativity_violations == ()
-        and standard.identities == (DOTAB,)
-        and standard.absorbers == (ABDOT,)
-        and exotic.identities == (ABDOT,)
-        and exotic.absorbers == (DOTAB,)
-        and exotic.commutativity_violations == ()
-        and standard.commutativity_violations == ((AB, BA),)
-    )
-    _line(
-        "built-in table structure reports",
-        ok,
-        "z2 commutative group; mirrored identity/absorber pair; "
-        f"sole non-commuting pair {standard.commutativity_violations!r} surfaced",
-    )
+    _gate("built-in table structure reports")
 
 
-def test_chain_semantics(tmp_path, capsys):
-    ok = True
-    notes = []
-
-    # parity reduction in the degenerate context
-    rng = np.random.default_rng(6)
-    flat = WindingGradient(k=np.zeros(3), holonomy=0.0)
-    ctx = build_context(flat, np.array([0.0, 0.0, 1.0]))
-    labels = ["S", "C", AB, BA]
-    for _ in range(25):
-        picks = [labels[int(rng.integers(0, 4))] for _ in range(int(rng.integers(1, 9)))]
-        start = labels[int(rng.integers(0, 4))]
-        final, _ = run_chain(
-            start, [ChainEvent(pick) for pick in picks], ctx
-        )
-        parity = sum(1 for x in [start] + picks if x in ("C", BA)) % 2
-        ok = ok and final == ("C" if parity else "S")
-    notes.append("parity reduction")
-
-    # absorber propagation in both preference tables
-    for kz, absorber in ((0.01, ABDOT), (-0.01, DOTAB)):
-        field = WindingGradient(k=np.array([0.0, 0.0, kz]), holonomy=kz)
-        ctx = build_context(field, np.array([0.0, 0.0, 1.0]))
-        final, trace = run_chain(
-            AB,
-            [ChainEvent(absorber), ChainEvent(BA), ChainEvent(AB), ChainEvent(DOTAB)],
-            ctx,
-        )
-        ok = ok and final == absorber and all(s.state == absorber for s in trace)
-    notes.append("absorber propagation")
-
-    # double involution restores the active table and the field
-    field = WindingGradient(k=np.array([0.0, 0.0, 0.01]), holonomy=0.01)
-    ctx = build_context(field, np.array([0.0, 0.0, 1.0]))
-    _, trace = run_chain(
-        AB,
-        [ChainEvent(DOTAB, involute_first=True), ChainEvent(DOTAB, involute_first=True)],
-        ctx,
-    )
-    restored = involuted(involuted(field))
-    ok = (
-        ok
-        and [s.table for s in trace] == ["prefer_exotic", "prefer_standard"]
-        and np.array_equal(restored.k, field.k)
-        and restored.holonomy == field.holonomy
-    )
-    notes.append("double involution")
-
-    # degenerate context rejects preference operands through the CLI
+def test_chain_semantics(tmp_path):
+    # the CLI, not the library, turns a preference operand under z2 into exit 3
     events = tmp_path / "events.json"
-    events.write_text(json.dumps([{"operand": ABDOT}]))
-    code = main(
-        [
-            "algebra", "chain",
-            "--initial", "S",
-            "--events", str(events),
-            "--p", "0,0,1",
-            "--k", "0,0,0",
-        ]
-    )
-    capsys.readouterr()
-    ok = ok and code == 3
-    notes.append(f"z2 operand rejection exit {code}")
-
-    _line("chain semantics", ok, "; ".join(notes))
+    events.write_text(json.dumps([{"operand": "(ab,·)"}]))
+    argv = ["algebra", "chain", "--initial", "S", "--events", str(events)]
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv + ["--p", "0,0,1", "--k", "0,0,0"])
+    _gate("chain semantics", Check("z2-operand-rejection", code == 3, f"exit {code}"))
 
 
 def test_flat_sector_degeneration():
-    theta = build_theta(64, TWO_PI, 0)
-    phase = half_phase(theta)
-    field = gradient_field(theta)
-    section = random_band_limited_section(64, TWO_PI, np.random.default_rng(44))
-    image = to_standard(section, phase)
-    identity_map = (
-        bool(np.all(phase.values == 1.0))
-        and np.array_equal(image.values, section.values)
-        and image.antiperiodic == section.antiperiodic
-    )
-    rng = np.random.default_rng(13)
-    branches_collapse = True
-    for _ in range(50):
-        m = float(rng.uniform(0.1, 2.0))
-        p = rng.uniform(-2.0, 2.0, 3)
-        semi = {dispersion_semiclassical(ModeSpec(m, p, b), field) for b in Branch}
-        exact = {dispersion_exact(ModeSpec(m, p, b), field) for b in Branch}
-        branches_collapse = branches_collapse and len(semi) == 1 and len(exact) == 1
-    table = select_table(field, np.array([0.3, -1.2, 0.8]))
-    ok = identity_map and branches_collapse and table == "z2"
-    _line(
-        "flat-sector degeneration",
-        ok,
-        f"phase map is the identity, branches coincide bit-for-bit, table = {table}",
-    )
+    _gate("flat-sector degeneration")

@@ -425,6 +425,27 @@ def test_csv_cells_double_inner_quotes(capsys, tmp_path):
     assert list(csv.reader(io.StringIO(out)))[-1] == ['a"b', "c", "c"]
 
 
+@pytest.mark.parametrize(
+    "command, header",
+    [
+        (("compose", "x", "y"), "left,right,result"),
+        (("analyze",), "name,carrier,table,identities,absorbers,commutativity_violations,"
+                       "associativity_violations,associativity_witness,is_group"),
+    ],
+)
+def test_csv_parameter_with_a_line_break_stays_on_one_line(capsys, tmp_path, command, header):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"name": "two\nlines", "carrier": ["x", "y"],
+                                "table": [[0, 1], [1, 0]]}))
+    code, out, _ = run(
+        capsys, "algebra", command[0], "--table-file", str(path), *command[1:], "--format", "csv"
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ['# table = "two\\nlines"', header]
+    assert json.loads(lines[0].partition(" = ")[2]) == "two\nlines"
+
+
 def test_algebra_chain_with_involution(capsys, tmp_path):
     events = tmp_path / "events.json"
     events.write_text(json.dumps([{"operand": "(a,b)", "involute": True}]))

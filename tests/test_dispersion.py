@@ -10,12 +10,9 @@ from hypothesis import strategies as st
 
 from spinorlab.dispersion import (
     Branch,
-    KernelClass,
     ModeSpec,
     Preference,
-    Structure,
     branch_energies,
-    classify_mode,
     default_degeneracy_tol,
     degeneracy_gap,
     dispersion_exact,
@@ -159,16 +156,13 @@ def test_default_tol_tracks_energy_scale():
     )
 
 
-def test_classify_mode():
-    label = classify_mode(1e-14, 0.8, Structure.EXOTIC, tol=1e-10)
-    assert label.kernel is KernelClass.STANDARD_DIRAC
-    assert label.structure is Structure.EXOTIC
-    label = classify_mode(0.8, 1e-14, Structure.EXOTIC, tol=1e-10)
-    assert label.kernel is KernelClass.AMORPHOUS
-    with pytest.raises(DomainError):
-        classify_mode(-1e-3, 0.0, Structure.STANDARD, tol=1e-10)
-    with pytest.raises(DomainError):
-        classify_mode(0.0, 0.0, Structure.STANDARD, tol=0.0)
+def test_default_tol_of_a_batch_is_its_rows():
+    momenta = np.random.default_rng(5).uniform(-3.0, 3.0, (40, 3))
+    tols = default_degeneracy_tol(0.7, momenta)
+    assert tols.shape == (40,)
+    assert tols.tolist() == [default_degeneracy_tol(0.7, p) for p in momenta]
+    with pytest.raises(DomainError, match="overflows"):
+        default_degeneracy_tol(0.0, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1e200]]))
 
 
 def test_mode_spec_rejects_bad_input():
