@@ -252,13 +252,17 @@ def default_degeneracy_tol(mass: float, momentum: np.ndarray):
 
     1e-12 * (m^2 + |p|^2 + 1): a float for one 3-momentum, an array for an
     (N, 3) batch.  A momentum whose m^2 + |p|^2 overflows float64 is
-    rejected by name.
+    rejected by name, and so is any other shape.
     """
-    momenta = np.atleast_2d(np.asarray(momentum, dtype=float))
-    if not np.all(np.isfinite(momenta)):
+    momentum = np.asarray(momentum, dtype=float)
+    if momentum.shape != (3,) and (momentum.ndim != 2 or momentum.shape[1] != 3):
+        raise DomainError(
+            f"momentum must be a 3-vector or an (N, 3) array, not shape {momentum.shape}"
+        )
+    if not np.all(np.isfinite(momentum)):
         raise DomainError("momentum must be finite")
-    tol = 1e-12 * (_rest(mass, momenta) + 1.0)
-    return tol if np.ndim(momentum) == 2 else float(tol[0])
+    tol = 1e-12 * (_rest(mass, np.atleast_2d(momentum)) + 1.0)
+    return tol if momentum.ndim == 2 else float(tol[0])
 
 
 def preferred_branch(

@@ -105,10 +105,14 @@ def build_theta(sites: int, circumference: float, winding: int) -> ThetaField:
 
     sites must be at least 4 and large enough to resolve the winding
     (|winding| < sites/2); otherwise the sampled ramp aliases to a different
-    circuit count and construction fails.
+    circuit count, so such a winding is refused up front.
     """
     if sites < 4:
         raise DomainError("need at least 4 sites")
+    if 2 * abs(winding) >= sites:
+        raise DomainError(
+            f"|winding| must be below sites/2 = {sites / 2:g} to resolve the ramp, got {winding}"
+        )
     if circumference <= 0.0:
         raise DomainError("circumference must be positive")
     samples = TWO_PI * winding * np.arange(sites) / float(sites)

@@ -315,6 +315,27 @@ def test_ring_spectrum_keeps_degenerate_pairs_at_large_momenta(capsys, structure
         start += len(level)
 
 
+def test_ring_spectrum_refuses_an_oversized_ring(capsys):
+    code, out, err = run(capsys, "ring-spectrum", "--sites", "4098", "--length", "1")
+    assert code == 3
+    assert out == ""
+    assert "over the limit 4096" in err
+
+
+@pytest.mark.parametrize("winding", ["4", "-4"])
+def test_map_check_refuses_an_aliased_winding(capsys, winding):
+    code, out, err = run(capsys, "map-check", "--sites", "8", "--winding", winding)
+    assert code == 3
+    assert out == ""
+    assert "sites/2 = 4" in err
+
+
+def test_map_check_resolves_the_largest_winding(capsys):
+    code, out, _ = run(capsys, "map-check", "--sites", "8", "--winding", "3")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 def test_map_check_passes_and_fails_by_scale(capsys):
     code, out, _ = run(
         capsys, "map-check", "--sites", "32", "--sections", "3", "--seed", "5"

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -163,6 +164,12 @@ def test_default_tol_of_a_batch_is_its_rows():
     assert tols.tolist() == [default_degeneracy_tol(0.7, p) for p in momenta]
     with pytest.raises(DomainError, match="overflows"):
         default_degeneracy_tol(0.0, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1e200]]))
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (4,), (2, 2), (2, 2, 3)])
+def test_default_tol_rejects_other_shapes(shape):
+    with pytest.raises(DomainError, match=re.escape(f"not shape {shape}")):
+        default_degeneracy_tol(0.0, np.ones(shape))
 
 
 def test_mode_spec_rejects_bad_input():

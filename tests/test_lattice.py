@@ -6,8 +6,11 @@ import pytest
 from spinorlab.dispersion import Branch, ModeSpec, Structure, dispersion_exact
 from spinorlab.errors import DomainError
 from spinorlab.lattice import (
+    MAX_DENSE_DIMENSION,
     RingSpec,
     Spectrum,
+    _dirac_matrix,
+    _generator_column,
     _generator_matrix,
     _group_levels,
     analytic_levels,
@@ -57,22 +60,80 @@ def test_numerics_match_quantization_rule():
         assert np.max(np.abs(numeric - analytic)) <= 1e-10 * scale
 
 
+LENGTHS = np.random.default_rng(0).uniform(1.0, 4.0 * math.pi, 3).tolist()
+
+
 @pytest.mark.parametrize("twist", [0.0, math.pi, 1.1])
 @pytest.mark.parametrize("sites", [512, 768, 1024])
 def test_large_rings_match_quantization_rule(sites, twist):
-    spec = RingSpec(sites=sites, circumference=1.0, twist=twist)
-    numeric = np.array(_expand(ring_spectrum(spec)))
-    analytic = analytic_levels(spec)
-    scale = np.max(np.abs(analytic)) + 1.0
-    assert np.max(np.abs(numeric - analytic)) <= 1e-10 * scale
+    # eigvalsh error against the analytic levels, relative to the largest
+    # level pi*N/L: at most 1.3e-14 over this grid
+    for length in LENGTHS:
+        spec = RingSpec(sites=sites, circumference=length, twist=twist)
+        numeric = np.array(_expand(ring_spectrum(spec)))
+        analytic = analytic_levels(spec)
+        assert np.max(np.abs(numeric - analytic)) <= 5e-14 * math.pi * sites / length
+
+
+def _circulant(spec):
+    """The complex Hermitian generator: entry (i, j) is column[(i - j) % N]."""
+    index = np.arange(spec.sites)
+    return _generator_column(spec)[np.subtract.outer(index, index) % spec.sites]
+
+
+def _parity_basis(sites):
+    """Columns u_0 .. u_{N/2}, then v_1 .. v_{N/2-1}, as in the lattice docstring."""
+    half = sites // 2
+    basis = np.zeros((sites, sites), dtype=complex)
+    for j in range(half + 1):
+        weight = 0.5 if j in (0, half) else math.sqrt(0.5)
+        basis[j, j] += weight
+        basis[-j % sites, j] += weight
+    for column, j in enumerate(range(1, half), start=half + 1):
+        basis[j, column] = 1j * math.sqrt(0.5)
+        basis[-j % sites, column] = -1j * math.sqrt(0.5)
+    return basis
 
 
 @pytest.mark.parametrize("sites", [4, 10, 64])
 def test_generator_matrix_is_hermitian_and_circulant(sites):
-    matrix = _generator_matrix(RingSpec(sites=sites, circumference=2.5, twist=0.9))
+    matrix = _circulant(RingSpec(sites=sites, circumference=2.5, twist=0.9))
     assert np.array_equal(matrix, matrix.conj().T)
     for j in range(sites):
         assert np.array_equal(matrix[:, j], np.roll(matrix[:, 0], j))
+
+
+@pytest.mark.parametrize("twist", [0.0, math.pi, 1.1])
+@pytest.mark.parametrize("sites", [4, 10, 64])
+def test_parity_basis_makes_the_generator_real_symmetric(sites, twist):
+    spec = RingSpec(sites=sites, circumference=2.5, twist=twist, mass=0.7)
+    basis = _parity_basis(sites)
+    assert np.max(np.abs(basis.conj().T @ basis - np.eye(sites))) <= 1e-15
+    circulant = _circulant(spec)
+    real = _generator_matrix(spec)
+    assert real.dtype == np.float64 and np.array_equal(real, real.T)
+    norm = np.linalg.norm(circulant, 2)
+    assert np.max(np.abs(basis.conj().T @ circulant @ basis - real)) <= 1e-15 * norm
+    # the Dirac operator: the same change of basis on both spinor components
+    sigma1 = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sigma3 = np.diag([1.0, -1.0])
+    dirac = np.kron(sigma1, circulant) + spec.mass * np.kron(sigma3, np.eye(sites))
+    spinor_basis = np.kron(np.eye(2), basis)
+    real_dirac = _dirac_matrix(spec)
+    assert real_dirac.dtype == np.float64 and np.array_equal(real_dirac, real_dirac.T)
+    norm = np.linalg.norm(dirac, 2)
+    assert np.max(np.abs(spinor_basis.conj().T @ dirac @ spinor_basis - real_dirac)) <= (
+        1e-15 * norm
+    )
+
+
+def test_dense_dimension_is_bounded():
+    # both refusals come before any matrix is built
+    with pytest.raises(DomainError, match=f"over the limit {MAX_DENSE_DIMENSION}"):
+        ring_spectrum(RingSpec(sites=MAX_DENSE_DIMENSION + 2, circumference=1.0, twist=0.0))
+    dirac = RingSpec(sites=MAX_DENSE_DIMENSION // 2 + 2, circumference=1.0, twist=0.0)
+    with pytest.raises(DomainError, match=f"dimension {MAX_DENSE_DIMENSION + 4}"):
+        ring_spectrum(dirac, first_order=False)
 
 
 def test_full_turn_shifts_every_level_by_one_mode():

@@ -99,9 +99,11 @@ def test_build_theta_rejections():
         build_theta(8, 0.0, 1)
     with pytest.raises(DomainError):
         build_theta(8, -2.0, 1)
-    # winding beyond the sampling limit aliases and must be refused
-    with pytest.raises(DomainError):
-        build_theta(8, 1.0, 5)
+    # winding at or beyond the sampling limit aliases and must be refused
+    for winding in (4, -4, 5):
+        with pytest.raises(DomainError, match="sites/2 = 4"):
+            build_theta(8, 1.0, winding)
+    assert build_theta(8, 1.0, -3).winding == -3
 
 
 def test_theta_field_winding_consistency():
