@@ -38,10 +38,12 @@ from .dispersion import (
     signed_shift,
 )
 from .errors import DomainError
-from .lattice import STRUCTURE_TWIST, RingSpec, _group_levels, ring_spectrum
+from .lattice import STRUCTURE_TWIST, RingSpec, _group_levels, mode_indices, ring_spectrum
 from .magma import BUILTIN_NAMES, FiniteMagma, analyze, builtin, compose, from_json
 from .sections import (
+    KERNEL_BOUNDS,
     MAP_BOUNDS,
+    MAP_TOL,
     kernel_residuals,
     map_residuals,
     random_band_limited_section,
@@ -327,11 +329,15 @@ def _run_ring_spectrum(options: dict) -> Report:
         twist = float(twist_flag)
     else:
         twist = STRUCTURE_TWIST[Structure(structure_flag or "standard")]
+    count = options.get("count")
+    if count is not None and int(count) < 0:
+        raise DomainError("--count must be non-negative")
     spec = RingSpec(sites=sites, circumference=length, twist=twist, mass=mass)
-    momenta = ring_spectrum(spec, first_order=True)
-    flat = np.repeat(momenta.eigenvalues, momenta.multiplicities)
+    flat = ring_spectrum(spec, first_order=True)
+    # the generator's levels (2*pi*n + twist)/L increase with n, so the i-th
+    # ascending eigenvalue belongs to the i-th mode index
+    modes = mode_indices(spec)
     energies = np.sqrt(mass**2 + flat**2)
-    modes = np.rint((flat * length - twist) / TWO_PI).astype(int)
     levels = _group_levels(energies)
     # sorted by energy, rows fall into the levels in order; within a level
     # they go by n, so rounding cannot swap the rows of a degenerate pair
@@ -339,10 +345,7 @@ def _run_ring_spectrum(options: dict) -> Report:
     order = np.lexsort((modes, energies))
     order = order[np.lexsort((modes[order], level))]
     multiplicity = np.repeat(levels.multiplicities, levels.multiplicities)
-    count = options.get("count")
     limit = int(count) if count is not None else len(order)
-    if limit < 0:
-        raise DomainError("--count must be non-negative")
     rows = [
         (int(modes[i]), float(flat[i]), float(energies[i]), int(mult))
         for i, mult in zip(order[:limit], multiplicity[:limit])
@@ -364,7 +367,7 @@ def _run_map_check(options: dict) -> Report:
     winding = int(options["winding"])
     mass = float(options["m"])
     scale = float(_resolve(options, "scale", 1.0))
-    tol = float(_resolve(options, "tol", 1e-10))
+    tol = float(_resolve(options, "tol", MAP_TOL))
     draws = int(options["sections"])
     seed = int(options["seed"])
 
@@ -384,11 +387,11 @@ def _run_map_check(options: dict) -> Report:
         raise DomainError("nothing to check: no sections requested")
 
     residuals = map_residuals(sections, theta, mass, scale)
-    kernel_residual, mapped_residual = kernel_residuals(theta, mass, 1, scale)
+    kernel = kernel_residuals(theta, mass, 1, scale)
     bounds = [
         (residuals[key], tol if bound is None else bound) for key, bound in MAP_BOUNDS.items()
     ]
-    bounds += [(kernel_residual, tol), (mapped_residual, tol * (1.0 + 1e-6))]
+    bounds += [(value, tol * factor) for value, factor in zip(kernel, KERNEL_BOUNDS)]
     passed = all(value <= bound for value, bound in bounds)
     parameters = {
         "sites": sites,
@@ -402,8 +405,8 @@ def _run_map_check(options: dict) -> Report:
     }
     fields = {
         "residuals": residuals,
-        "kernel_residual": kernel_residual,
-        "mapped_kernel_residual": mapped_residual,
+        "kernel_residual": kernel[0],
+        "mapped_kernel_residual": kernel[1],
         "passed": passed,
     }
     return Report("map-check", parameters, fields, exit_code=0 if passed else 1)

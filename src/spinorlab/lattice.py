@@ -99,19 +99,18 @@ class Spectrum:
         ):
             raise DomainError("eigenvalues must be sorted ascending")
 
-    @property
-    def total_count(self) -> int:
-        return int(sum(self.multiplicities))
+
+LEVEL_TOL = 1e-12  # sorted neighbours within LEVEL_TOL * max|v| form one level
 
 
-def _group_levels(values: np.ndarray, tol: float = 1e-12) -> Spectrum:
+def _group_levels(values: np.ndarray) -> Spectrum:
     """Sorted levels with multiplicities; neighbours within the window merge.
 
     eigvalsh rounding grows like eps * max|v|, so the window is
-    tol * max(1, max|v|): exactly tol at unit scale.
+    LEVEL_TOL * max|v|, on the scale of the values at any magnitude.
     """
     ordered = np.sort(values)
-    window = tol * max(1.0, float(np.max(np.abs(ordered))))
+    window = LEVEL_TOL * float(np.max(np.abs(ordered)))
     starts = np.flatnonzero(np.diff(ordered, prepend=-np.inf) > window)
     counts = np.diff(starts, append=len(ordered))
     return Spectrum(
@@ -178,8 +177,8 @@ def _dirac_matrix(spec: RingSpec) -> np.ndarray:
     return np.block([[mass, generator], [generator, -mass]])
 
 
-def ring_spectrum(spec: RingSpec, first_order: bool = True) -> Spectrum:
-    """Numerical spectrum of the twisted ring operator.
+def ring_spectrum(spec: RingSpec, first_order: bool = True) -> np.ndarray:
+    """Every eigenvalue of the twisted ring operator: eigvalsh's ascending array.
 
     first_order=True diagonalizes the generator itself (N momentum levels,
     one per mode index).  first_order=False diagonalizes the massive Dirac
@@ -193,7 +192,7 @@ def ring_spectrum(spec: RingSpec, first_order: bool = True) -> Spectrum:
             f"{dimension}, over the limit {MAX_DENSE_DIMENSION}"
         )
     matrix = _generator_matrix(spec) if first_order else _dirac_matrix(spec)
-    return _group_levels(np.linalg.eigvalsh(matrix))
+    return np.linalg.eigvalsh(matrix)
 
 
 def mode_indices(spec: RingSpec) -> np.ndarray:
@@ -210,9 +209,9 @@ def dirac_ring_spectrum(spec: RingSpec, structure: Structure) -> Spectrum:
     """Positive-branch Dirac energies for a spin structure on the ring.
 
     The twist is dictated by the structure (0 or pi); spec.twist is ignored
-    here so callers cannot desynchronize the dictionary.  Levels within
-    1e-12 * max(1, max energy) are merged, which is where the degeneracy
-    lifting between the two structures becomes visible.
+    here so callers cannot desynchronize the dictionary.  The energies
+    sqrt(m^2 + e_n^2) are grouped into levels (see _group_levels), which is
+    where the degeneracy lifting between the two structures becomes visible.
     """
     if not isinstance(structure, Structure):
         raise DomainError("structure must be a Structure value")
@@ -222,13 +221,7 @@ def dirac_ring_spectrum(spec: RingSpec, structure: Structure) -> Spectrum:
         twist=STRUCTURE_TWIST[structure],
         mass=spec.mass,
     )
-    momenta = ring_spectrum(base, first_order=True)
-    energies = [
-        math.sqrt(spec.mass**2 + e**2)
-        for e, mult in zip(momenta.eigenvalues, momenta.multiplicities)
-        for _ in range(mult)
-    ]
-    return _group_levels(np.array(energies))
+    return _group_levels(np.sqrt(spec.mass**2 + ring_spectrum(base) ** 2))
 
 
 @dataclass(frozen=True)
@@ -272,8 +265,7 @@ def verify_dispersion(
                 f"field implies circumference {implied:.12g}, lattice has {length:.12g}"
             )
 
-    spectrum = ring_spectrum(spec, first_order=True)
-    levels = np.repeat(spectrum.eigenvalues, spectrum.multiplicities)
+    levels = ring_spectrum(spec, first_order=True)
     p1, p2 = (float(p_transverse[0]), float(p_transverse[1]))
     lattice = np.sort(np.sqrt(spec.mass**2 + p1**2 + p2**2 + levels**2))
     ring_momenta = TWO_PI * mode_indices(spec) / length

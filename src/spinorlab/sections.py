@@ -64,7 +64,9 @@ __all__ = [
     "intertwining_residual",
     "commutation_residual",
     "density_residual",
+    "MAP_TOL",
     "MAP_BOUNDS",
+    "KERNEL_BOUNDS",
     "map_residuals",
     "kernel_residuals",
     "grid_norm",
@@ -305,8 +307,11 @@ def density_residual(section: SampledSection, phase: HalfWindingPhase) -> float:
     return float(np.max(np.abs(after - before)))
 
 
-# The bound on each map_residuals key: None stands for the caller's tol,
-# the rest are rounding-level identities held to a fixed 1e-15.
+# The bound on each map_residuals key: None stands for the caller's tol
+# (MAP_TOL unless given), the rest are rounding-level identities held to a
+# fixed 1e-15.  KERNEL_BOUNDS holds the kernel_residuals pair to multiples of
+# that tol; it stays apart because MAP_BOUNDS has exactly map_residuals' keys.
+MAP_TOL = 1e-10
 MAP_BOUNDS = {
     "intertwine_plus": None,
     "intertwine_minus": None,
@@ -314,6 +319,7 @@ MAP_BOUNDS = {
     "density": 1e-15,
     "roundtrip": 1e-15,
 }
+KERNEL_BOUNDS = (1.0, 1.0 + 1e-6)
 
 
 def map_residuals(

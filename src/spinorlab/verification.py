@@ -35,7 +35,9 @@ from .lattice import (
     verify_dispersion,
 )
 from .sections import (
+    KERNEL_BOUNDS,
     MAP_BOUNDS,
+    MAP_TOL,
     half_phase,
     kernel_residuals,
     map_residuals,
@@ -115,17 +117,13 @@ def dispersion_checks(samples: int = 400, seed: int = 11) -> list[Check]:
     checks.append(Check("frozen-closed-form", ok, f"E+ {exact_plus!r}, E- {exact_minus!r}"))
 
     rng = np.random.default_rng(seed)
-    masses = np.empty(samples)
-    momenta = np.empty((samples, 3))
-    ks = np.empty((samples, 3))
-    # drawn one sample at a time, in the order the generator stream expects
-    for i in range(samples):
-        masses[i] = rng.uniform(0.2, 2.0)
-        momenta[i] = p = rng.uniform(-2.0, 2.0, size=3)
-        direction = rng.standard_normal(3)
-        # sqrt(v.dot(v)) is what np.linalg.norm computes, without its overhead
-        direction /= math.sqrt(direction.dot(direction))
-        ks[i] = direction * rng.uniform(1e-6, 1.0) * 1e-2 * (math.sqrt(p.dot(p)) + masses[i])
+    masses = rng.uniform(0.2, 2.0, samples)
+    momenta = rng.uniform(-2.0, 2.0, (samples, 3))
+    directions = rng.standard_normal((samples, 3))
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    # |k| / (|p| + m) is uniform in [1e-8, 1e-2]
+    ratios = rng.uniform(1e-6, 1.0, samples) * 1e-2
+    ks = directions * (ratios * (np.linalg.norm(momenta, axis=1) + masses))[:, None]
     energies = branch_energies(masses, momenta, ks, 1.0, "exact")
     kp = np.vecdot(ks, momenta)
     sign = np.sign(kp)
@@ -181,7 +179,7 @@ def dispersion_checks(samples: int = 400, seed: int = 11) -> list[Check]:
 
 def sections_checks(sections: int = 6, seed: int = 3) -> list[Check]:
     checks = []
-    sites, length, tol = 64, TWO_PI, 1e-10
+    sites, length, tol = 64, TWO_PI, MAP_TOL
     theta = build_theta(sites, length, 1)
     rng = np.random.default_rng(seed)
 
@@ -199,7 +197,7 @@ def sections_checks(sections: int = 6, seed: int = 3) -> list[Check]:
         checks.append(Check(name, ok, f"max {worst[key]:.3g}"))
 
     ker, mapped = kernel_residuals(theta, 1.0, 2)
-    ok = ker <= tol and mapped <= tol
+    ok = all(value <= tol * factor for value, factor in zip((ker, mapped), KERNEL_BOUNDS))
     checks.append(
         Check("kernel-transport", ok, f"kernel {ker:.3g}, mapped {mapped:.3g}")
     )
@@ -343,8 +341,7 @@ def lattice_checks() -> list[Check]:
     errors = []
     for twist in STRUCTURE_TWIST.values():
         spec = RingSpec(sites=8, circumference=TWO_PI, twist=twist)
-        levels = np.array(ring_spectrum(spec).eigenvalues)
-        errors.append(np.max(np.abs(levels - analytic_levels(spec))))
+        errors.append(np.max(np.abs(ring_spectrum(spec) - analytic_levels(spec))))
     ok = max(errors) <= 1e-12
     checks.append(
         Check("quantization", ok, f"integer {errors[0]:.3g}, half-integer {errors[1]:.3g}")
@@ -366,9 +363,9 @@ def lattice_checks() -> list[Check]:
     ok = ok and abs(exotic.eigenvalues[0] - 0.5) <= 1e-12
     checks.append(Check("degeneracy-lifting", ok, "ground multiplicity 1 vs 2"))
 
-    full = ring_spectrum(massive, first_order=False)
-    values = np.repeat(full.eigenvalues, full.multiplicities)
-    sym = float(np.max(np.abs(np.sort(values) - np.sort(-values))))
+    # ascending, so E -> -E pairs the i-th lowest level with the i-th highest
+    values = ring_spectrum(massive, first_order=False)
+    sym = float(np.max(np.abs(values + values[::-1])))
     checks.append(Check("charge-symmetry", sym <= 1e-12, f"E -> -E asymmetry {sym:.3g}"))
 
     half_integer = RingSpec(sites=8, circumference=TWO_PI, twist=math.pi, mass=1.0)

