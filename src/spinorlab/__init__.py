@@ -20,24 +20,18 @@ from .chains import (
 from .dispersion import (
     Branch,
     BranchEnergies,
-    ModeSpec,
     Preference,
     Structure,
     branch_energies,
     default_degeneracy_tol,
-    degeneracy_gap,
-    dispersion_exact,
-    dispersion_semiclassical,
     preferred_branch,
 )
 from .errors import DomainError
 from .lattice import (
-    DispersionMatchReport,
     RingSpec,
     Spectrum,
     dirac_ring_spectrum,
     ring_spectrum,
-    verify_dispersion,
 )
 from .magma import FiniteMagma, StructureReport, analyze, builtin, compose
 from .sections import (
@@ -66,11 +60,9 @@ __all__ = [
     "BranchEnergies",
     "ChainEvent",
     "ChainStep",
-    "DispersionMatchReport",
     "DomainError",
     "FiniteMagma",
     "HalfWindingPhase",
-    "ModeSpec",
     "Preference",
     "PreferenceContext",
     "RingSpec",
@@ -88,11 +80,8 @@ __all__ = [
     "commutation_residual",
     "compose",
     "default_degeneracy_tol",
-    "degeneracy_gap",
     "density_residual",
     "dirac_ring_spectrum",
-    "dispersion_exact",
-    "dispersion_semiclassical",
     "gradient_field",
     "half_phase",
     "intertwining_residual",
@@ -104,5 +93,4 @@ __all__ = [
     "select_table",
     "to_exotic",
     "to_standard",
-    "verify_dispersion",
 ]

@@ -71,7 +71,7 @@ def build_context(
 ) -> PreferenceContext:
     momentum = np.asarray(momentum, dtype=float)
     if tol is None:
-        tol = default_degeneracy_tol(0.0, momentum)
+        tol = default_degeneracy_tol(momentum)
     return PreferenceContext(
         field=field,
         momentum=momentum,

@@ -300,7 +300,7 @@ def _run_preference(options: dict) -> Report:
     momentum = _parse_vector(options["p"], 3, "--p")
     field = _field_from_options(options)
     tol = _resolve(options, "tol", None)
-    tol = float(tol) if tol is not None else default_degeneracy_tol(0.0, momentum)
+    tol = float(tol) if tol is not None else default_degeneracy_tol(momentum)
     preference = preferred_branch(field, momentum, tol)
     table = select_table(field, momentum, tol)
     parameters = {
@@ -355,7 +355,7 @@ def _run_ring_spectrum(options: dict) -> Report:
         "length": length,
         "twist": twist,
         "m": mass,
-        "count": limit,
+        "count": len(rows),
     }
     header = ("n", "e_n", "energy", "multiplicity")
     return Report("ring-spectrum", parameters, {"rows": Table(header, rows)})

@@ -47,6 +47,8 @@ class Preference(Enum):
     DEGENERATE = "degenerate"
 
 
+# Nothing in the package builds a ModeSpec; it stays because the benchmark
+# tracer (clibench/tracing.py) binds ModeSpec.__init__ by name.
 @dataclass(frozen=True)
 class ModeSpec:
     mass: float
@@ -85,8 +87,8 @@ class BranchEnergies(NamedTuple):
     gap_exact: np.ndarray | None = None
 
 
-# The helpers below hold each formula once; branch_energies and the scalar
-# functions call them with floating-point warnings off.  Inputs are finite,
+# The helpers below hold each formula once; branch_energies and
+# signed_shift call them with floating-point warnings off.  Inputs are finite,
 # so a non-finite result can only come from overflow, which _finite turns
 # into a DomainError.
 _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
@@ -194,65 +196,12 @@ def signed_shift(field: WindingGradient, momentum: np.ndarray) -> float:
 
 
 @np.errstate(**_QUIET)
-def dispersion_semiclassical(mode: ModeSpec, field: WindingGradient) -> float:
-    """First-order branch energy; the standard branch returns |p|^2 + m^2.
-
-    Rejects modes with m = 0 and p = 0, where the printed correction is
-    undefined, and results that overflow float64.
-    """
-    momenta = mode.momentum[None, :]
-    rest = _rest(mode.mass, momenta)
-    if mode.branch is Branch.STANDARD:
-        return float(rest[0])
-    plus, minus = _semiclassical(rest, _signed(momenta, field.k, field.scale), momenta)
-    return float((plus if mode.branch is Branch.EXOTIC_PLUS else minus)[0])
-
-
-@np.errstate(**_QUIET)
-def dispersion_exact(mode: ModeSpec, field: WindingGradient) -> float:
-    """Closed-form branch energy sqrt(m^2 + |p -+ s*k|^2).
-
-    Plus branch shifts by -s*k, minus by +s*k, standard not at all; always
-    at least m (rest floor).  Results that overflow float64 are rejected.
-    """
-    momenta = mode.momentum[None, :]
-    if mode.branch is Branch.STANDARD:
-        return float(np.sqrt(_rest(mode.mass, momenta))[0])
-    shift = field.scale * field.k
-    if mode.branch is Branch.EXOTIC_MINUS:
-        shift = -shift
-    return float(_exact(mode.mass, momenta, shift)[0])
-
-
-def degeneracy_gap(
-    mass: float, momentum: np.ndarray, field: WindingGradient, formula: str = "semiclassical"
-) -> float:
-    """Energy splitting E_minus - E_plus between the exotic branches.
-
-    For the semiclassical formula the splitting collapses algebraically to
-    s*(k.p), and that identity is what is returned (the two first-order
-    terms cancel exactly, so subtracting the evaluated branch energies would
-    only add rounding noise).  For the exact formula it is returned as
-    4*s*(k.p) / (E_minus + E_plus), which equals the difference of the two
-    square roots without the cancellation of subtracting them: it keeps the
-    sign of s*(k.p) and full relative accuracy however small the gap.
-    """
-    if formula == "semiclassical":
-        return signed_shift(field, momentum)
-    if formula == "exact":
-        momenta = np.asarray(momentum, dtype=float)[None, :]
-        energies = branch_energies(mass, momenta, field.k, field.scale, "exact")
-        return float(energies.gap_exact[0])
-    raise DomainError(f"unknown formula {formula!r}")
-
-
-@np.errstate(**_QUIET)
-def default_degeneracy_tol(mass: float, momentum: np.ndarray):
+def default_degeneracy_tol(momentum: np.ndarray):
     """Scale-aware threshold below which the branches count as degenerate.
 
-    1e-12 * (m^2 + |p|^2 + 1): a float for one 3-momentum, an array for an
-    (N, 3) batch.  A momentum whose m^2 + |p|^2 overflows float64 is
-    rejected by name, and so is any other shape.
+    1e-12 * (|p|^2 + 1): a float for one 3-momentum, an array for an (N, 3)
+    batch.  A momentum whose |p|^2 overflows float64 is rejected by name,
+    and so is any other shape.
     """
     momentum = np.asarray(momentum, dtype=float)
     if momentum.shape != (3,) and (momentum.ndim != 2 or momentum.shape[1] != 3):
@@ -261,7 +210,8 @@ def default_degeneracy_tol(mass: float, momentum: np.ndarray):
         )
     if not np.all(np.isfinite(momentum)):
         raise DomainError("momentum must be finite")
-    tol = 1e-12 * (_rest(mass, np.atleast_2d(momentum)) + 1.0)
+    # _rest at m = 0, so an overflow is named as branch_energies names it
+    tol = 1e-12 * (_rest(0.0, np.atleast_2d(momentum)) + 1.0)
     return tol if momentum.ndim == 2 else float(tol[0])
 
 
@@ -272,11 +222,11 @@ def preferred_branch(
 
     Strictly greater than tol prefers plus, strictly less than -tol prefers
     minus, anything in between is degenerate.  tol must be positive; when
-    omitted it defaults to the scale-aware threshold at m = 0.
+    omitted it defaults to the scale-aware threshold.
     """
     momentum = np.asarray(momentum, dtype=float)
     if tol is None:
-        tol = default_degeneracy_tol(0.0, momentum)
+        tol = default_degeneracy_tol(momentum)
     if tol <= 0.0 or not math.isfinite(tol):
         raise DomainError("tol must be positive")
     signed = signed_shift(field, momentum)

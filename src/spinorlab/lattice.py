@@ -49,9 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import Structure, branch_energies
+from .dispersion import Structure
 from .errors import DomainError
-from .winding import TWO_PI, WindingGradient
+from .winding import TWO_PI
 
 STRUCTURE_TWIST = {Structure.STANDARD: 0.0, Structure.EXOTIC: math.pi}
 
@@ -222,64 +222,3 @@ def dirac_ring_spectrum(spec: RingSpec, structure: Structure) -> Spectrum:
         mass=spec.mass,
     )
     return _group_levels(np.sqrt(spec.mass**2 + ring_spectrum(base) ** 2))
-
-
-@dataclass(frozen=True)
-class DispersionMatchReport:
-    """Outcome of the lattice-versus-closed-form comparison."""
-
-    deviations: tuple[float, ...]
-    max_deviation: float
-    tol: float
-    passed: bool
-
-
-def verify_dispersion(
-    spec: RingSpec,
-    field: WindingGradient,
-    p_transverse=(0.0, 0.0),
-    tol: float = 1e-12,
-) -> DispersionMatchReport:
-    """Compare twisted-lattice energies against the closed dispersion form.
-
-    The lattice side takes the numerical momentum levels e_n and forms
-    sqrt(m^2 + |p_t|^2 + e_n^2).  The continuum side evaluates the closed
-    form on integer-quantized base momenta 2*pi*n/L with the branch that
-    adds the field shift s*k3 (the standard branch when the shift is zero).
-    Both energy lists are sorted and compared elementwise; the caller is
-    responsible for matching s*k3 to the twist (pi/L shift for twist pi),
-    and a mismatch is exactly what the report is meant to expose.  A field
-    whose holonomy and k3 imply a different circumference than the lattice
-    is rejected.
-    """
-    if tol <= 0.0 or not math.isfinite(tol):
-        raise DomainError("tol must be positive")
-    if field.k[0] != 0.0 or field.k[1] != 0.0:
-        raise DomainError("field must point along the ring")
-    k3 = float(field.k[2])
-    length = spec.circumference
-    if k3 != 0.0:
-        implied = field.holonomy / k3
-        if abs(implied - length) > 1e-9 * length:
-            raise DomainError(
-                f"field implies circumference {implied:.12g}, lattice has {length:.12g}"
-            )
-
-    levels = ring_spectrum(spec, first_order=True)
-    p1, p2 = (float(p_transverse[0]), float(p_transverse[1]))
-    lattice = np.sort(np.sqrt(spec.mass**2 + p1**2 + p2**2 + levels**2))
-    ring_momenta = TWO_PI * mode_indices(spec) / length
-    momenta = np.column_stack(
-        (np.full(len(ring_momenta), p1), np.full(len(ring_momenta), p2), ring_momenta)
-    )
-    # the minus branch adds s*k3; with no shift it is the standard branch
-    energies = branch_energies(spec.mass, momenta, field.k, field.scale, "exact")
-    continuum = np.sort(energies.exact_minus)
-    deviations = tuple(float(d) for d in np.abs(lattice - continuum))
-    max_deviation = float(max(deviations))
-    return DispersionMatchReport(
-        deviations=deviations,
-        max_deviation=max_deviation,
-        tol=float(tol),
-        passed=max_deviation <= tol,
-    )

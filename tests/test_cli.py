@@ -9,15 +9,8 @@ import pytest
 
 from spinorlab import cli
 from spinorlab.cli import main
-from spinorlab.dispersion import (
-    Branch,
-    ModeSpec,
-    degeneracy_gap,
-    dispersion_exact,
-    dispersion_semiclassical,
-)
+from spinorlab.dispersion import branch_energies
 from spinorlab.sections import random_band_limited_section, section_to_json
-from spinorlab.winding import WindingGradient
 
 TWO_PI = 2.0 * math.pi
 
@@ -127,19 +120,17 @@ def test_sweep_rows_are_the_scalar_functions(capsys):
     assert code == 0
     rows = json.loads(out)["rows"]
     assert len(rows) == 41
-    field = WindingGradient(k=np.array([0.01, -0.02, 0.05]), holonomy=0.05, scale=0.7)
     for row in rows:
         assert tuple(row) == SWEEP_HEADER
-        p = np.array([0.3, -0.1, row["p3"]])
-        modes = {b: ModeSpec(0.8, p, b) for b in Branch}
+        one = branch_energies(0.8, [[0.3, -0.1, row["p3"]]], [0.01, -0.02, 0.05], 0.7)
         expected = (
             row["p3"],
-            dispersion_semiclassical(modes[Branch.EXOTIC_PLUS], field),
-            dispersion_semiclassical(modes[Branch.EXOTIC_MINUS], field),
-            dispersion_exact(modes[Branch.EXOTIC_PLUS], field),
-            dispersion_exact(modes[Branch.EXOTIC_MINUS], field),
-            degeneracy_gap(0.8, p, field, "semiclassical"),
-            degeneracy_gap(0.8, p, field, "exact"),
+            one.semiclassical_plus[0],
+            one.semiclassical_minus[0],
+            one.exact_plus[0],
+            one.exact_minus[0],
+            one.signed_shift[0],
+            one.gap_exact[0],
         )
         assert tuple(row.values()) == expected
 
@@ -268,6 +259,23 @@ def test_ring_spectrum_exotic_levels(capsys):
     assert all(row[2] == "0.5" for row in rows[:2])
     assert all(row[3] == "2" for row in rows[:2])
     assert sorted(int(row[0]) for row in rows[:2]) == [-1, 0]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("count, rows", [("100", 4), ("3", 3)])
+def test_ring_spectrum_echoes_the_rows_it_prints(capsys, fmt, count, rows):
+    code, out, _ = run(
+        capsys, "ring-spectrum", "--sites", "4", "--length", "1", "--count", count,
+        "--format", fmt,
+    )
+    assert code == 0
+    if fmt == "json":
+        document = json.loads(out)
+        assert (document["parameters"]["count"], len(document["rows"])) == (rows, rows)
+    else:
+        lines = out.splitlines()
+        assert f"# count = {rows}" in lines
+        assert len(lines) == 5 + 1 + rows  # five parameters, the header, the rows
 
 
 def test_ring_spectrum_rejects_twist_and_structure_together(capsys):

@@ -15,9 +15,6 @@ from spinorlab.dispersion import (
     Preference,
     branch_energies,
     default_degeneracy_tol,
-    degeneracy_gap,
-    dispersion_exact,
-    dispersion_semiclassical,
     preferred_branch,
 )
 from spinorlab.errors import DomainError
@@ -36,35 +33,27 @@ EXACT_MINUS = 1.1225417586887358  # sqrt(1.2601)
 EXACT_GAP = 0.008943985702456914
 
 
-def _mode(branch):
-    return ModeSpec(mass=MASS, momentum=np.array(MOMENTUM), branch=branch)
+def _one_row(mass, momentum, field, formula="both"):
+    return branch_energies(mass, [momentum], field.k, field.scale, formula)
 
 
 def test_semiclassical_reference_values():
-    assert dispersion_semiclassical(_mode(Branch.EXOTIC_PLUS), FIELD) == pytest.approx(
-        SEMI_PLUS, abs=1e-12
-    )
-    assert dispersion_semiclassical(_mode(Branch.EXOTIC_MINUS), FIELD) == pytest.approx(
-        SEMI_MINUS, abs=1e-12
-    )
+    energies = _one_row(MASS, MOMENTUM, FIELD)
+    assert energies.semiclassical_plus[0] == pytest.approx(SEMI_PLUS, abs=1e-12)
+    assert energies.semiclassical_minus[0] == pytest.approx(SEMI_MINUS, abs=1e-12)
     # standard branch ignores the gradient entirely
-    assert dispersion_semiclassical(_mode(Branch.STANDARD), FIELD) == 1.25
+    assert energies.rest[0] == 1.25
 
 
 def test_semiclassical_gap_is_bit_exact():
-    gap = degeneracy_gap(MASS, np.array(MOMENTUM), FIELD, formula="semiclassical")
-    assert gap == 0.005
+    assert _one_row(MASS, MOMENTUM, FIELD).signed_shift[0] == 0.005
 
 
 def test_exact_reference_values():
-    assert dispersion_exact(_mode(Branch.EXOTIC_PLUS), FIELD) == pytest.approx(
-        EXACT_PLUS, abs=1e-12
-    )
-    assert dispersion_exact(_mode(Branch.EXOTIC_MINUS), FIELD) == pytest.approx(
-        EXACT_MINUS, abs=1e-12
-    )
-    gap = degeneracy_gap(MASS, np.array(MOMENTUM), FIELD, formula="exact")
-    assert gap == pytest.approx(EXACT_GAP, abs=1e-15)
+    energies = _one_row(MASS, MOMENTUM, FIELD)
+    assert energies.exact_plus[0] == pytest.approx(EXACT_PLUS, abs=1e-12)
+    assert energies.exact_minus[0] == pytest.approx(EXACT_MINUS, abs=1e-12)
+    assert energies.gap_exact[0] == pytest.approx(EXACT_GAP, abs=1e-15)
 
 
 def test_exact_branch_is_shifted_free_dispersion():
@@ -75,8 +64,8 @@ def test_exact_branch_is_shifted_free_dispersion():
         k = rng.uniform(-0.05, 0.05, 3)
         field = WindingGradient(k=k, holonomy=float(k[2]))
         scale = field.scale
-        e_plus = dispersion_exact(ModeSpec(m, p, Branch.EXOTIC_PLUS), field)
-        e_minus = dispersion_exact(ModeSpec(m, p, Branch.EXOTIC_MINUS), field)
+        energies = _one_row(m, p, field, "exact")
+        e_plus, e_minus = energies.exact_plus[0], energies.exact_minus[0]
         assert e_plus == pytest.approx(
             math.sqrt(m**2 + float(np.dot(p - scale * k, p - scale * k))), abs=1e-13
         )
@@ -94,17 +83,17 @@ def test_gap_sign_tracks_alignment():
         k *= 1e-2 * (np.linalg.norm(p) + m) / max(np.linalg.norm(k), 1e-300)
         field = WindingGradient(k=k, holonomy=float(k[2]))
         align = float(np.dot(k, p))
-        for formula in ("semiclassical", "exact"):
-            gap = degeneracy_gap(m, p, field, formula=formula)
+        energies = _one_row(m, p, field)
+        for gap in (energies.signed_shift[0], energies.gap_exact[0]):
             if abs(align) > 1e-12:
                 assert math.copysign(1.0, gap) == math.copysign(1.0, align)
 
 
 def test_gap_closes_when_orthogonal():
     field = WindingGradient(k=np.array([0.01, 0.0, 0.0]), holonomy=0.0)
-    p = np.array([0.0, 0.3, 0.4])
-    assert degeneracy_gap(1.0, p, field, formula="semiclassical") == 0.0
-    assert abs(degeneracy_gap(1.0, p, field, formula="exact")) <= 1e-15
+    energies = _one_row(1.0, [0.0, 0.3, 0.4], field)
+    assert energies.signed_shift[0] == 0.0
+    assert abs(energies.gap_exact[0]) <= 1e-15
 
 
 def test_branches_collapse_without_gradient():
@@ -113,18 +102,16 @@ def test_branches_collapse_without_gradient():
     for _ in range(100):
         m = float(rng.uniform(0.1, 2.0))
         p = rng.uniform(-2.0, 2.0, 3)
-        values = {
-            dispersion_semiclassical(ModeSpec(m, p, b), flat) for b in Branch
-        }
-        assert len(values) == 1
-        exact = {dispersion_exact(ModeSpec(m, p, b), flat) for b in Branch}
+        energies = _one_row(m, p, flat)
+        semi = {energies.rest[0], energies.semiclassical_plus[0], energies.semiclassical_minus[0]}
+        assert len(semi) == 1
+        exact = {energies.exact_standard[0], energies.exact_plus[0], energies.exact_minus[0]}
         assert len(exact) == 1
 
 
 def test_scale_knob_scales_the_shift():
     field = WindingGradient(k=np.array([0.0, 0.0, 0.01]), holonomy=0.01, scale=0.5)
-    mode = ModeSpec(MASS, np.array(MOMENTUM), Branch.EXOTIC_MINUS)
-    assert dispersion_exact(mode, field) == pytest.approx(
+    assert _one_row(MASS, MOMENTUM, field, "exact").exact_minus[0] == pytest.approx(
         math.sqrt(1.0 + 0.505**2), abs=1e-14
     )
 
@@ -132,9 +119,9 @@ def test_scale_knob_scales_the_shift():
 def test_semiclassical_needs_nonzero_energy_scale():
     flat = WindingGradient(k=np.array([0.0, 0.0, 0.01]), holonomy=0.01)
     with pytest.raises(DomainError):
-        dispersion_semiclassical(ModeSpec(0.0, np.zeros(3), Branch.EXOTIC_PLUS), flat)
+        _one_row(0.0, np.zeros(3), flat, "semiclassical")
     # the exact form is fine there
-    assert dispersion_exact(ModeSpec(0.0, np.zeros(3), Branch.EXOTIC_PLUS), flat) > 0.0
+    assert _one_row(0.0, np.zeros(3), flat, "exact").exact_plus[0] > 0.0
 
 
 def test_preferred_branch():
@@ -152,24 +139,22 @@ def involuted_field(field):
 
 
 def test_default_tol_tracks_energy_scale():
-    assert default_degeneracy_tol(1.0, np.array(MOMENTUM)) == pytest.approx(
-        1e-12 * 2.25, abs=1e-24
-    )
+    assert default_degeneracy_tol(np.array(MOMENTUM)) == pytest.approx(1e-12 * 1.25, abs=1e-24)
 
 
 def test_default_tol_of_a_batch_is_its_rows():
     momenta = np.random.default_rng(5).uniform(-3.0, 3.0, (40, 3))
-    tols = default_degeneracy_tol(0.7, momenta)
+    tols = default_degeneracy_tol(momenta)
     assert tols.shape == (40,)
-    assert tols.tolist() == [default_degeneracy_tol(0.7, p) for p in momenta]
+    assert tols.tolist() == [default_degeneracy_tol(p) for p in momenta]
     with pytest.raises(DomainError, match="overflows"):
-        default_degeneracy_tol(0.0, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1e200]]))
+        default_degeneracy_tol(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1e200]]))
 
 
 @pytest.mark.parametrize("shape", [(), (2,), (4,), (2, 2), (2, 2, 3)])
 def test_default_tol_rejects_other_shapes(shape):
     with pytest.raises(DomainError, match=re.escape(f"not shape {shape}")):
-        default_degeneracy_tol(0.0, np.ones(shape))
+        default_degeneracy_tol(np.ones(shape))
 
 
 def test_mode_spec_rejects_bad_input():
@@ -224,33 +209,6 @@ def test_batched_rows_match_the_per_mode_arithmetic():
                 assert getattr(energies, key)[i] == value, key
 
 
-def test_scalar_functions_are_rows_of_the_batch():
-    rng = np.random.default_rng(29)
-    momenta = rng.uniform(-2.0, 2.0, (50, 3))
-    masses = rng.uniform(0.1, 2.0, 50)
-    ks = rng.uniform(-0.05, 0.05, (50, 3))
-    energies = branch_energies(masses, momenta, ks, 0.8)
-    for i in range(50):
-        field = WindingGradient(k=ks[i], holonomy=0.0, scale=0.8)
-        mode = {b: ModeSpec(float(masses[i]), momenta[i], b) for b in Branch}
-        assert dispersion_semiclassical(mode[Branch.STANDARD], field) == energies.rest[i]
-        assert (
-            dispersion_semiclassical(mode[Branch.EXOTIC_PLUS], field)
-            == energies.semiclassical_plus[i]
-        )
-        assert (
-            dispersion_semiclassical(mode[Branch.EXOTIC_MINUS], field)
-            == energies.semiclassical_minus[i]
-        )
-        assert dispersion_exact(mode[Branch.STANDARD], field) == energies.exact_standard[i]
-        assert dispersion_exact(mode[Branch.EXOTIC_PLUS], field) == energies.exact_plus[i]
-        assert dispersion_exact(mode[Branch.EXOTIC_MINUS], field) == energies.exact_minus[i]
-        gap_semi = degeneracy_gap(float(masses[i]), momenta[i], field, "semiclassical")
-        assert gap_semi == energies.signed_shift[i]
-        gap_exact = degeneracy_gap(float(masses[i]), momenta[i], field, "exact")
-        assert gap_exact == energies.gap_exact[i]
-
-
 def test_formula_selects_columns():
     momenta = np.array([[0.0, 0.0, 0.5]])
     exact = branch_energies(MASS, momenta, FIELD.k, formula="exact")
@@ -266,13 +224,11 @@ def test_formula_selects_columns():
 def test_exact_gap_regression_at_tiny_gradient():
     # subtracting the two roots gave exactly 0.0 here, hiding the sign
     p = np.array([0.0, 0.0, 1.0])
-    field = WindingGradient(k=np.array([0.0, 0.0, 1e-17]), holonomy=0.0)
-    gap = degeneracy_gap(1.0, p, field, formula="exact")
-    assert gap > 0.0
-    assert gap == pytest.approx(_decimal_gap(1.0, p, field.k, 1.0), rel=1e-15, abs=0.0)
-    batched = branch_energies(1.0, p[None, :], field.k)
-    assert batched.gap_exact[0] == gap
-    assert batched.signed_shift[0] == 1e-17
+    k = np.array([0.0, 0.0, 1e-17])
+    energies = branch_energies(1.0, p[None, :], k)
+    assert energies.gap_exact[0] > 0.0
+    assert energies.gap_exact[0] == pytest.approx(_decimal_gap(1.0, p, k, 1.0), rel=1e-15, abs=0.0)
+    assert energies.signed_shift[0] == 1e-17
 
 
 @pytest.mark.parametrize(
@@ -318,29 +274,27 @@ def test_overflow_is_a_domain_error_without_warnings(mass, momentum, k, scale, l
         with pytest.raises(DomainError) as caught:
             branch_energies(mass, np.array([momentum]), np.array(k), scale)
         assert str(caught.value).startswith(f"{label} overflows float64 at p = (")
-        field = WindingGradient(k=np.array(k), holonomy=0.0, scale=scale)
         with pytest.raises(DomainError, match="overflows"):
-            dispersion_exact(ModeSpec(mass, np.array(momentum), Branch.EXOTIC_MINUS), field)
+            branch_energies(mass, np.array([momentum]), np.array(k), scale, "exact")
 
 
 def test_default_tol_overflow_is_named_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError) as caught:
-            default_degeneracy_tol(0.0, np.array([0.0, 0.0, 1e200]))
+            default_degeneracy_tol(np.array([0.0, 0.0, 1e200]))
         assert str(caught.value) == "m^2 + |p|^2 overflows float64 at p = (0.0, 0.0, 1e+200)"
         with pytest.raises(DomainError, match="momentum must be finite"):
-            default_degeneracy_tol(0.0, np.array([0.0, np.inf, 0.0]))
+            default_degeneracy_tol(np.array([0.0, np.inf, 0.0]))
     # the largest finite m^2 + |p|^2 still gives a finite, positive tol
-    assert 0.0 < default_degeneracy_tol(0.0, np.array([0.0, 0.0, 1e154])) < np.inf
+    assert 0.0 < default_degeneracy_tol(np.array([0.0, 0.0, 1e154])) < np.inf
 
 
 def test_scalar_overflow_is_a_domain_error():
-    huge = ModeSpec(1.0, np.array([0.0, 0.0, 1e200]), Branch.STANDARD)
-    with pytest.raises(DomainError, match="overflows"):
-        dispersion_semiclassical(huge, FIELD)
-    with pytest.raises(DomainError, match="overflows"):
-        degeneracy_gap(1.0, np.array([0.0, 0.0, 1e200]), FIELD, formula="exact")
+    # each formula on its own rejects a momentum whose |p|^2 overflows
+    for formula in ("semiclassical", "exact"):
+        with pytest.raises(DomainError, match="overflows"):
+            _one_row(1.0, [0.0, 0.0, 1e200], FIELD, formula)
     # the semiclassical formula alone never forms |p -+ s*k|^2, so a huge
     # gradient that overflows the exact energies does not stop it
     steep = WindingGradient(k=np.array([0.0, 0.0, 1e160]), holonomy=0.0)
@@ -401,8 +355,6 @@ def test_exact_gap_sign_follows_alignment(mass, p, k, scale):
     # the two gap columns never disagree in sign, and the exact gap is zero
     # only where s*(k.p) is
     assert _sign(gap) == _sign(signed)
-    field = WindingGradient(k=np.array(k), holonomy=0.0, scale=scale)
-    assert signed == degeneracy_gap(mass, np.array(p), field, "semiclassical")
     # against the true s*(k.p): the sign is right whenever it exceeds the
     # rounding bound of the three-term dot product
     exact_kp = sum(Fraction(a) * Fraction(b) for a, b in zip(k, p)) * Fraction(scale)
@@ -442,14 +394,14 @@ def test_verification_gap_checks_draw_the_same_samples(monkeypatch):
     calls = []
 
     def recording(*args, **kwargs):
-        energies = branch_energies(*args, **kwargs)
-        calls.append((args, energies))
-        return energies
+        calls.append(args)
+        return branch_energies(*args, **kwargs)
 
     monkeypatch.setattr(verification, "branch_energies", recording)
     checks = {check.name: check for check in verification.dispersion_checks(samples=60, seed=4)}
     assert checks["gap-sign"].passed and checks["gap-expansion"].passed
-    (masses, momenta, ks, scale, formula), energies = calls[0]
+    # calls[0] is the frozen reference point, calls[2] the flat-collapse batch
+    masses, momenta, ks, scale, formula = calls[1]
     assert masses.shape == (60,) and momenta.shape == (60, 3) and ks.shape == (60, 3)
     assert scale == 1.0 and formula == "exact"
     # the draw ranges: m in [0.2, 2], p in [-2, 2]^3, |k| / (|p| + m) in [1e-8, 1e-2]
@@ -457,8 +409,3 @@ def test_verification_gap_checks_draw_the_same_samples(monkeypatch):
     assert np.all((momenta >= -2.0) & (momenta < 2.0))
     ratio = np.linalg.norm(ks, axis=1) / (np.linalg.norm(momenta, axis=1) + masses)
     assert np.all((ratio >= 1e-8 * (1 - 1e-12)) & (ratio <= 1e-2 * (1 + 1e-12)))
-    # and every recorded row is the scalar gap, both formulas
-    for i in range(60):
-        field = WindingGradient(k=ks[i], holonomy=0.0, scale=1.0)
-        assert energies.gap_exact[i] == degeneracy_gap(masses[i], momenta[i], field, "exact")
-        assert energies.signed_shift[i] == degeneracy_gap(masses[i], momenta[i], field)

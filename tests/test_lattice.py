@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinorlab.dispersion import Branch, ModeSpec, Structure, dispersion_exact
+from spinorlab.dispersion import Structure, branch_energies
 from spinorlab.errors import DomainError
 from spinorlab.lattice import (
     LEVEL_TOL,
@@ -18,9 +20,9 @@ from spinorlab.lattice import (
     dirac_ring_spectrum,
     mode_indices,
     ring_spectrum,
-    verify_dispersion,
 )
-from spinorlab.winding import WindingGradient, build_theta, gradient_field
+from spinorlab.sections import kernel_mode
+from spinorlab.winding import build_theta, gradient_field
 
 TWO_PI = 2.0 * math.pi
 
@@ -242,83 +244,33 @@ def test_positive_branch_agrees_with_dictionary():
     assert np.max(np.abs(np.subtract(positive.eigenvalues, exotic.eigenvalues))) <= 1e-10
 
 
-def _aligned_field(scale=0.5):
-    # unit winding on the 2*pi ring gives k3 = 1; scale 0.5 puts the energy
-    # shift at pi/L, exactly the exotic boundary twist
-    return gradient_field(build_theta(64, TWO_PI, 1), scale=scale)
-
-
-def test_verify_dispersion_matches_exotic_lattice():
-    spec = RingSpec(sites=8, circumference=TWO_PI, twist=math.pi, mass=1.0)
-    report = verify_dispersion(spec, _aligned_field(), tol=1e-12)
-    assert report.passed
-    assert report.max_deviation <= 1e-12
-
-
-def test_verify_dispersion_flags_twist_mismatch():
-    spec = RingSpec(sites=8, circumference=TWO_PI, twist=0.0, mass=1.0)
-    report = verify_dispersion(spec, _aligned_field(), tol=1e-12)
-    assert not report.passed
-    assert report.max_deviation > 0.1
-
-
-def test_verify_dispersion_flat_field_standard_lattice():
-    spec = RingSpec(sites=8, circumference=TWO_PI, twist=0.0, mass=1.0)
-    flat = WindingGradient(k=np.zeros(3), holonomy=0.0)
-    report = verify_dispersion(spec, flat, tol=1e-12)
-    assert report.passed
-
-
-def _verify_dispersion_per_mode(spec, field, p_transverse):
-    """verify_dispersion's deviations computed one mode at a time."""
-    p1, p2 = p_transverse
-    shift = field.scale * float(field.k[2])
-    branch = Branch.STANDARD if shift == 0.0 else Branch.EXOTIC_MINUS
-    lattice = np.sort(
-        [math.sqrt(spec.mass**2 + p1**2 + p2**2 + e**2) for e in ring_spectrum(spec)]
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_winding_shift_dictionary_for_three_conventions(data):
+    # At convention scale s the closed form shifts p3 by (s/2)*k3, the ring
+    # carries the twist (s/2) * holonomy, and D_plus at scale s shifts the
+    # harmonic by s*k3/2: the same energy, mode by mode.
+    half = data.draw(st.integers(2, 32), label="sites/2")
+    sites = 2 * half
+    length = data.draw(st.floats(0.1, 100.0), label="length")
+    winding = data.draw(st.integers(1 - half, half - 1), label="winding")
+    scale = data.draw(st.floats(-4.0, 4.0), label="scale")
+    # massive, since kernel_mode refuses a massless zero mode: no kernel spinor
+    mass = data.draw(st.floats(0.01, 5.0), label="mass")
+    theta = build_theta(sites, length, winding)
+    field = gradient_field(theta, scale=scale / 2)
+    spec = RingSpec(
+        sites=sites, circumference=length, twist=field.scale * field.holonomy, mass=mass
     )
-    continuum = np.sort(
-        [
-            dispersion_exact(
-                ModeSpec(spec.mass, np.array([p1, p2, TWO_PI * n / spec.circumference]), branch),
-                field,
-            )
-            for n in mode_indices(spec)
-        ]
-    )
-    return np.abs(lattice - continuum), max(np.max(lattice), np.max(continuum))
-
-
-@pytest.mark.parametrize(
-    "sites, twist, mass, field, p_transverse",
-    [
-        (8, math.pi, 1.0, _aligned_field(), (0.0, 0.0)),
-        (64, math.pi, 0.0, _aligned_field(), (0.3, -0.4)),
-        (32, 0.0, 0.7, _aligned_field(), (0.0, 0.0)),
-        (16, 0.0, 0.0, WindingGradient(k=np.zeros(3), holonomy=0.0), (0.0, 0.0)),
-    ],
-)
-def test_verify_dispersion_matches_the_per_mode_loop(sites, twist, mass, field, p_transverse):
-    spec = RingSpec(sites=sites, circumference=TWO_PI, twist=twist, mass=mass)
-    report = verify_dispersion(spec, field, p_transverse=p_transverse)
-    reference, energy = _verify_dispersion_per_mode(spec, field, p_transverse)
-    # e**2 was a libm pow per mode and is now a square: a few ulps of the
-    # largest energy, fixed from the dtype before comparing
-    assert np.max(np.abs(np.array(report.deviations) - reference)) <= 4 * 2.0**-52 * energy
-
-
-def test_verify_dispersion_rejects_wrong_circumference():
-    spec = RingSpec(sites=8, circumference=TWO_PI, twist=math.pi, mass=1.0)
-    bad = WindingGradient(k=np.array([0.0, 0.0, 2.0]), holonomy=TWO_PI, scale=0.5)
-    with pytest.raises(DomainError):
-        verify_dispersion(spec, bad)
-
-
-def test_verify_dispersion_rejects_transverse_field():
-    spec = RingSpec(sites=8, circumference=TWO_PI, twist=0.0, mass=1.0)
-    sideways = WindingGradient(k=np.array([1.0, 0.0, 0.0]), holonomy=0.0)
-    with pytest.raises(DomainError):
-        verify_dispersion(spec, sideways)
+    modes = mode_indices(spec)
+    momenta = np.column_stack((np.zeros((sites, 2)), TWO_PI * modes / length))
+    closed = branch_energies(mass, momenta, field.k, field.scale, "exact").exact_minus
+    # the generator's levels (2*pi*n + twist)/L ascend with n, as modes do
+    lattice = np.sqrt(mass**2 + ring_spectrum(spec) ** 2)
+    kernel = [kernel_mode(theta, mass, int(n), operator="plus", scale=scale)[1] for n in modes]
+    bound = 2e-14 * ((math.pi * sites + abs(spec.twist)) / length + mass)
+    assert np.max(np.abs(lattice - closed)) <= bound
+    assert np.max(np.abs(np.array(kernel) - closed)) <= bound
 
 
 def test_spectrum_validation():

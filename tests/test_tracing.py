@@ -25,6 +25,6 @@ def test_tracer_records_verify_and_restores_bindings(monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert tracer.calls["verification.run_suite"] == 1
-    assert tracer.calls["dispersion.ModeSpec"] > 0
+    assert tracer.calls["dispersion.branch_energies"] > 0
     for owner, attr, original, _ in tracer.bindings:
         assert getattr(owner, attr) is original, f"{owner!r}.{attr} still traced"
