@@ -10,11 +10,14 @@ fresh temporary file.
 Comparison rules:
 
 * exact bytes of output and stderr, and the exit code, for every case but
-  the next;
+  the next two;
 * `verify --suite sections|lattice|all`: the same exit code and stderr,
   and the same output once each check's detail is dropped, i.e. the same
   check names, verdicts and failure count.  Their details print FFT and
-  eigensolver residuals, which move by rounding.
+  eigensolver residuals, which move by rounding;
+* `map-check`: the same exit code, stderr, parameters, keys and `passed`,
+  and each residual on the same side of its bound (MAP_CHECK_BOUNDS).
+  The residuals are FFT rounding, so only their verdicts are pinned.
 
 Adding a case (it refuses a name that already has an expected file):
 
@@ -42,6 +45,16 @@ MANIFEST = GOLDEN / "manifest.json"
 EXPECTED = GOLDEN / "expected"
 OUT = "{out}"
 VERDICT_ONLY_SUITES = ("sections", "lattice", "all")
+# map-check's bound on each residual, as a multiple of its tol or absolute
+MAP_CHECK_BOUNDS = {
+    "intertwine_plus": ("tol", 1.0),
+    "intertwine_minus": ("tol", 1.0),
+    "commutation": ("abs", 1e-15),
+    "density": ("abs", 1e-15),
+    "roundtrip": ("abs", 1e-15),
+    "kernel_residual": ("tol", 1.0),
+    "mapped_kernel_residual": ("tol", 1.0 + 1e-6),
+}
 
 
 def run_case(argv: list[str]) -> tuple[int, str, str]:
@@ -62,8 +75,37 @@ def _option(argv: list[str], flag: str, default: str) -> str:
     return dict(zip(argv, argv[1:])).get(flag, default)
 
 
+def _within(key: str, value: float, tol: float) -> bool:
+    kind, bound = MAP_CHECK_BOUNDS[key]
+    return value <= (tol * bound if kind == "tol" else bound)
+
+
+def _map_check_verdicts(argv: list[str], output: str):
+    """map-check output with each residual replaced by value <= bound."""
+    if _option(argv, "--format", "json") == "json":
+        document = json.loads(output)
+        tol = document["parameters"]["tol"]
+        residuals = document["residuals"]
+        for key in residuals:
+            residuals[key] = _within(key, residuals[key], tol)
+        for key in ("kernel_residual", "mapped_kernel_residual"):
+            document[key] = _within(key, document[key], tol)
+        return document
+    comments = [line for line in output.splitlines() if line.startswith("#")]
+    tol = float(dict(line[2:].split(" = ") for line in comments)["tol"])
+    header, row = csv.reader(output.splitlines()[len(comments):])
+    cells = dict(zip(header, row))
+    residuals = json.loads(cells["residuals"])
+    cells["residuals"] = {key: _within(key, value, tol) for key, value in residuals.items()}
+    for key in ("kernel_residual", "mapped_kernel_residual"):
+        cells[key] = _within(key, float(cells[key]), tol)
+    return comments, header, cells
+
+
 def _comparable(argv: list[str], output: str):
-    """The output as compared: all of it, or verify's without the details."""
+    """The output as compared: all of it, verify's without the details, or map-check's verdicts."""
+    if argv[:1] == ["map-check"] and output:
+        return _map_check_verdicts(argv, output)
     if argv[:1] != ["verify"] or _option(argv, "--suite", "all") not in VERDICT_ONLY_SUITES:
         return output
     if _option(argv, "--format", "json") == "csv":
