@@ -40,15 +40,7 @@ from .dispersion import (
 from .errors import DomainError
 from .lattice import STRUCTURE_TWIST, RingSpec, _group_levels, mode_indices, ring_spectrum
 from .magma import BUILTIN_NAMES, FiniteMagma, analyze, builtin, compose, from_json
-from .sections import (
-    KERNEL_BOUNDS,
-    MAP_BOUNDS,
-    MAP_TOL,
-    kernel_residuals,
-    map_residuals,
-    random_band_limited_section,
-    section_from_json,
-)
+from .sections import map_checks, random_band_limited_section, section_from_json
 from .verification import SUITES, run_suite
 from .winding import TWO_PI, WindingGradient, build_theta
 
@@ -367,7 +359,7 @@ def _run_map_check(options: dict) -> Report:
     winding = int(options["winding"])
     mass = float(options["m"])
     scale = float(_resolve(options, "scale", 1.0))
-    tol = float(_resolve(options, "tol", MAP_TOL))
+    tol = _resolve(options, "tol", None)
     draws = int(options["sections"])
     seed = int(options["seed"])
 
@@ -386,20 +378,18 @@ def _run_map_check(options: dict) -> Report:
     if not sections:
         raise DomainError("nothing to check: no sections requested")
 
-    residuals = map_residuals(sections, theta, mass, scale)
-    kernel = kernel_residuals(theta, mass, 1, scale)
-    bounds = [
-        (residuals[key], tol if bound is None else bound) for key, bound in MAP_BOUNDS.items()
-    ]
-    bounds += [(value, tol * factor) for value, factor in zip(kernel, KERNEL_BOUNDS)]
-    passed = all(value <= bound for value, bound in bounds)
+    checks = map_checks(sections, theta, mass, scale, harmonic=1, tol=tol)
+    residuals = {key: value for key, value, _ in checks}
+    kernel = residuals.pop("kernel_residual"), residuals.pop("mapped_kernel_residual")
+    passed = all(value <= bound for _, value, bound in checks)
     parameters = {
         "sites": sites,
         "length": length,
         "winding": winding,
         "m": mass,
         "scale": scale,
-        "tol": tol,
+        # the intertwining bound is the tol itself
+        "tol": checks[0][2],
         "sections": len(sections),
         "seed": seed,
     }

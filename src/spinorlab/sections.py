@@ -30,12 +30,15 @@ so that at convention scale s = 1 the identities
     U * (D0 psi)      = D_minus (U * psi)
 
 hold exactly; the residual functions report how far a given section is
-from them.  Plane-wave kernel modes of D_plus at ring momentum q sit at
-E = sqrt(m^2 + p1^2 + p2^2 + (q + (s/2)*k3)^2); relative to the closed
-dispersion form elsewhere in this package this is the opposite shift sign
-at half magnitude, which is a pure labelling convention (flip the winding
-to swap them) and is pinned here so the residuals vanish with U = e^{i
-theta/2} literally.
+from them.  intertwining_residual measures both identities in one pass, and
+map_checks lists every phase-map residual and the kernel pair as (key,
+value, bound), the one list of bounds that map-check and verify's sections
+suite both read.  Plane-wave kernel modes of D_plus at ring momentum q sit
+at E = sqrt(m^2 + (q + (s/2)*k3)^2); relative to the closed dispersion form
+elsewhere in this package this is the opposite shift sign at half
+magnitude, which is a pure labelling convention (flip the winding to swap
+them) and is pinned here so the residuals vanish with U = e^{i theta/2}
+literally.
 """
 
 from __future__ import annotations
@@ -64,11 +67,9 @@ __all__ = [
     "intertwining_residual",
     "commutation_residual",
     "density_residual",
-    "MAP_TOL",
-    "MAP_BOUNDS",
-    "KERNEL_BOUNDS",
     "map_residuals",
     "kernel_residuals",
+    "map_checks",
     "grid_norm",
     "random_band_limited_section",
     "plane_wave_section",
@@ -120,6 +121,10 @@ class HalfWindingPhase:
         if np.max(np.abs(np.abs(values) - 1.0)) > 1e-12:
             raise DomainError("phase samples must be unimodular")
 
+    @property
+    def sites(self) -> int:
+        return int(self.values.size)
+
 
 def half_phase(theta: ThetaField) -> HalfWindingPhase:
     """Half-angle phase of a winding field, lifted smoothly.
@@ -136,10 +141,11 @@ def half_phase(theta: ThetaField) -> HalfWindingPhase:
     )
 
 
-def _check_grid(section: SampledSection, phase: HalfWindingPhase) -> None:
-    if section.sites != phase.values.size:
+def _check_grid(section: SampledSection, grid: HalfWindingPhase | ThetaField) -> None:
+    """The section must sit on the ring grid of the phase or angle field."""
+    if section.sites != grid.sites:
         raise DomainError("section and phase live on different grids")
-    if abs(section.circumference - phase.circumference) > 1e-12 * phase.circumference:
+    if abs(section.circumference - grid.circumference) > 1e-12 * grid.circumference:
         raise DomainError("section and phase circumferences differ")
 
 
@@ -233,10 +239,7 @@ def exotic_dirac(
     """Apply a shifted operator D_plus or D_minus (see module docstring)."""
     if direction not in ("plus", "minus"):
         raise DomainError("direction must be 'plus' or 'minus'")
-    if theta.sites != section.sites:
-        raise DomainError("section and angle field live on different grids")
-    if abs(theta.circumference - section.circumference) > 1e-12 * section.circumference:
-        raise DomainError("section and angle field circumferences differ")
+    _check_grid(section, theta)
     base = standard_dirac(section, mass, p_transverse, energy)
     sign = -1.0 if direction == "plus" else 1.0
     multiplier = sign * 0.5 * scale * pointwise_gradient(theta)
@@ -254,32 +257,27 @@ def grid_norm(values: np.ndarray, circumference: float) -> float:
 
 def intertwining_residual(
     section: SampledSection,
-    theta: ThetaField,
+    phase: HalfWindingPhase,
+    multiplier: np.ndarray,
     mass: float,
-    direction: str = "plus",
-    scale: float = 1.0,
     p_transverse=(0.0, 0.0),
     energy: float = 0.0,
-) -> float:
-    """Grid norm of the failure of the half-phase operator identity.
+) -> tuple[float, float]:
+    """Grid norms of the failures of both half-phase operator identities.
 
-    direction 'plus' measures ||U*(D_plus psi) - D0(U*psi)|| on an exotic
-    section psi; direction 'minus' measures ||U*(D0 psi) - D_minus(U*psi)||.
-    Both vanish to rounding at scale 1 for band-limited sections.
+    multiplier is D_plus's pointwise factor -(s/2)*theta' on the grid, so
+    D_plus = D0 + multiplier*g3 and D_minus = D0 - multiplier*g3.  Returns
+    (plus, minus): ||U*(D_plus psi) - D0(U*psi)|| and ||U*(D0 psi) -
+    D_minus(U*psi)|| on an exotic section psi, from one D0 psi, one D0(U*psi)
+    and one U.  Both vanish to rounding at scale 1 for band-limited sections.
     """
-    phase = half_phase(theta)
-    if direction == "plus":
-        inner = exotic_dirac(section, theta, mass, "plus", scale, p_transverse, energy)
-        lhs = to_standard(inner, phase)
-        rhs = standard_dirac(to_standard(section, phase), mass, p_transverse, energy)
-    elif direction == "minus":
-        lhs = to_standard(standard_dirac(section, mass, p_transverse, energy), phase)
-        rhs = exotic_dirac(
-            to_standard(section, phase), theta, mass, "minus", scale, p_transverse, energy
-        )
-    else:
-        raise DomainError("direction must be 'plus' or 'minus'")
-    return grid_norm(lhs.values - rhs.values, section.circumference)
+    image = to_standard(section, phase)
+    free = standard_dirac(section, mass, p_transverse, energy).values
+    free_image = standard_dirac(image, mass, p_transverse, energy).values
+    u = phase.values[:, None]
+    plus = (free + multiplier[:, None] * (section.values @ GAMMA3.T)) * u - free_image
+    minus = free * u - (free_image + (-multiplier)[:, None] * (image.values @ GAMMA3.T))
+    return grid_norm(plus, section.circumference), grid_norm(minus, section.circumference)
 
 
 def commutation_residual(
@@ -308,18 +306,19 @@ def density_residual(section: SampledSection, phase: HalfWindingPhase) -> float:
 
 
 # The bound on each map_residuals key: None stands for the caller's tol
-# (MAP_TOL unless given), the rest are rounding-level identities held to a
-# fixed 1e-15.  KERNEL_BOUNDS holds the kernel_residuals pair to multiples of
-# that tol; it stays apart because MAP_BOUNDS has exactly map_residuals' keys.
-MAP_TOL = 1e-10
-MAP_BOUNDS = {
+# (_MAP_TOL unless given), the rest are rounding-level identities held to a
+# fixed 1e-15.  _KERNEL_BOUNDS holds the kernel_residuals pair to multiples
+# of that tol; it stays apart because _MAP_BOUNDS has exactly map_residuals'
+# keys.  map_checks is the one reader of all three.
+_MAP_TOL = 1e-10
+_MAP_BOUNDS = {
     "intertwine_plus": None,
     "intertwine_minus": None,
     "commutation": 1e-15,
     "density": 1e-15,
     "roundtrip": 1e-15,
 }
-KERNEL_BOUNDS = (1.0, 1.0 + 1e-6)
+_KERNEL_BOUNDS = (1.0, 1.0 + 1e-6)
 
 
 def map_residuals(
@@ -334,12 +333,12 @@ def map_residuals(
     """
     phase = half_phase(theta)
     field = gradient_field(theta, scale=scale)
-    worst = dict.fromkeys(MAP_BOUNDS, 0.0)
+    multiplier = -0.5 * scale * pointwise_gradient(theta)
+    worst = dict.fromkeys(_MAP_BOUNDS, 0.0)
     for section in sections:
         back = to_exotic(to_standard(section, phase), phase)
         residuals = (
-            intertwining_residual(section, theta, mass, "plus", scale),
-            intertwining_residual(section, theta, mass, "minus", scale),
+            *intertwining_residual(section, phase, multiplier, mass),
             commutation_residual(section, field, phase),
             density_residual(section, phase),
             float(np.max(np.abs(back.values - section.values))),
@@ -399,45 +398,26 @@ def plane_wave_section(
 
 
 def kernel_mode(
-    theta: ThetaField,
-    mass: float,
-    harmonic: int,
-    p_transverse=(0.0, 0.0),
-    operator: str = "plus",
-    scale: float = 1.0,
+    theta: ThetaField, mass: float, harmonic: int, scale: float = 1.0
 ) -> tuple[SampledSection, float]:
-    """Exact plane-wave kernel element of D_plus, D_minus or D0.
+    """Exact plane-wave kernel element of D_plus at convention scale s.
 
     Returns an exotic section at ring harmonic n together with the on-shell
-    energy E = sqrt(m^2 + p1^2 + p2^2 + q_eff^2), where q_eff absorbs the
-    operator's multiplier shift.  The spinor is built with the on-shell
-    projector, so applying the chosen operator at that energy annihilates
-    the section up to rounding.
+    energy E = sqrt(m^2 + q_eff^2), q_eff = 2*pi*n/L + (s/2)*k3.  The spinor
+    is column 0 of the on-shell projector E*g0 - q_eff*g3 + m, normalized:
+    its norm, sqrt(2E(E + m)), is the largest of the four columns'.  At
+    E = m = 0 the projector vanishes and every spinor is in the kernel, so
+    the spinor is e_0.  Applying D_plus at that energy annihilates the
+    section up to rounding.
     """
-    if operator not in ("plus", "minus", "free"):
-        raise DomainError("operator must be 'plus', 'minus' or 'free'")
     q = 2.0 * math.pi * harmonic / theta.circumference
     k3 = float(np.mean(pointwise_gradient(theta)))
-    if operator == "plus":
-        q_eff = q + 0.5 * scale * k3
-    elif operator == "minus":
-        q_eff = q - 0.5 * scale * k3
-    else:
-        q_eff = q
-    p1, p2 = (float(p_transverse[0]), float(p_transverse[1]))
-    energy = math.sqrt(mass**2 + p1**2 + p2**2 + q_eff**2)
-    onshell = (
-        energy * GAMMA0 - p1 * GAMMA1 - p2 * GAMMA2 - q_eff * GAMMA3
-        + mass * np.eye(4)
-    )
-    spinor = None
-    for column in range(4):
-        candidate = onshell[:, column]
-        if np.linalg.norm(candidate) > 1e-8:
-            spinor = candidate / np.linalg.norm(candidate)
-            break
-    if spinor is None:
-        raise DomainError("on-shell projector vanished; no kernel spinor")
+    q_eff = q + 0.5 * scale * k3
+    energy = math.sqrt(mass**2 + q_eff**2)
+    e0 = np.eye(4)[0]
+    column = energy * GAMMA0[:, 0] - q_eff * GAMMA3[:, 0] + mass * e0
+    norm = np.linalg.norm(column)
+    spinor = column / norm if norm > 0.0 else e0
     section = plane_wave_section(
         theta.sites, theta.circumference, harmonic, spinor, Structure.EXOTIC
     )
@@ -452,13 +432,41 @@ def kernel_residuals(
     The mode is kernel_mode's at this harmonic; the image is its transport
     by the half-phase map.  Both residuals vanish to rounding.
     """
-    section, energy = kernel_mode(theta, mass, harmonic, scale=scale)
+    section, energy = kernel_mode(theta, mass, harmonic, scale)
     image = to_standard(section, half_phase(theta))
     length = theta.circumference
     return (
         grid_norm(exotic_dirac(section, theta, mass, "plus", scale, energy=energy).values, length),
         grid_norm(standard_dirac(image, mass, energy=energy).values, length),
     )
+
+
+def map_checks(
+    sections: Iterable[SampledSection],
+    theta: ThetaField,
+    mass: float,
+    scale: float = 1.0,
+    harmonic: int = 1,
+    tol: float | None = None,
+) -> list[tuple[str, float, float]]:
+    """Every half-phase identity as (key, value, bound), passing at value <= bound.
+
+    The five map_residuals keys, worst over the sections, then
+    kernel_residual and mapped_kernel_residual, the kernel_residuals pair
+    at the given harmonic.  tol (1e-10 when None) bounds the intertwining
+    and kernel residuals; the other three are held to a fixed 1e-15.
+    """
+    tol = _MAP_TOL if tol is None else tol
+    worst = map_residuals(sections, theta, mass, scale)
+    kernel = kernel_residuals(theta, mass, harmonic, scale)
+    checks = [
+        (key, worst[key], tol if bound is None else bound)
+        for key, bound in _MAP_BOUNDS.items()
+    ]
+    keys = ("kernel_residual", "mapped_kernel_residual")
+    for key, value, factor in zip(keys, kernel, _KERNEL_BOUNDS):
+        checks.append((key, value, tol * factor))
+    return checks
 
 
 def section_to_json(section: SampledSection) -> str:

@@ -29,16 +29,7 @@ from .lattice import (
     mode_indices,
     ring_spectrum,
 )
-from .sections import (
-    KERNEL_BOUNDS,
-    MAP_BOUNDS,
-    MAP_TOL,
-    half_phase,
-    kernel_residuals,
-    map_residuals,
-    random_band_limited_section,
-    to_standard,
-)
+from .sections import half_phase, map_checks, random_band_limited_section, to_standard
 from .winding import (
     TWO_PI,
     WindingGradient,
@@ -166,12 +157,14 @@ def dispersion_checks(samples: int = 400, seed: int = 11) -> list[Check]:
 
 def sections_checks(sections: int = 6, seed: int = 3) -> list[Check]:
     checks = []
-    sites, length, tol = 64, TWO_PI, MAP_TOL
+    sites, length = 64, TWO_PI
     theta = build_theta(sites, length, 1)
     rng = np.random.default_rng(seed)
 
     drawn = [random_band_limited_section(sites, length, rng) for _ in range(sections)]
-    worst = map_residuals(drawn, theta, 1.0)
+    *residuals, (_, ker, ker_bound), (_, mapped, mapped_bound) = map_checks(
+        drawn, theta, 1.0, harmonic=2
+    )
     names = (
         "intertwine-plus",
         "intertwine-minus",
@@ -179,12 +172,9 @@ def sections_checks(sections: int = 6, seed: int = 3) -> list[Check]:
         "density-invariance",
         "map-roundtrip",
     )
-    for name, (key, bound) in zip(names, MAP_BOUNDS.items()):
-        ok = worst[key] <= (tol if bound is None else bound)
-        checks.append(Check(name, ok, f"max {worst[key]:.3g}"))
-
-    ker, mapped = kernel_residuals(theta, 1.0, 2)
-    ok = all(value <= tol * factor for value, factor in zip((ker, mapped), KERNEL_BOUNDS))
+    for name, (_, value, bound) in zip(names, residuals):
+        checks.append(Check(name, value <= bound, f"max {value:.3g}"))
+    ok = ker <= ker_bound and mapped <= mapped_bound
     checks.append(
         Check("kernel-transport", ok, f"kernel {ker:.3g}, mapped {mapped:.3g}")
     )

@@ -10,7 +10,8 @@ import pytest
 from spinorlab import cli
 from spinorlab.cli import main
 from spinorlab.dispersion import branch_energies
-from spinorlab.sections import random_band_limited_section, section_to_json
+from spinorlab.sections import map_checks, random_band_limited_section, section_to_json
+from spinorlab.winding import build_theta
 
 TWO_PI = 2.0 * math.pi
 
@@ -401,6 +402,45 @@ def test_map_check_passes_and_fails_by_scale(capsys):
     )
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "sites, length, winding, scale, tol, seed",
+    [
+        (32, TWO_PI, 1, 1.0, 1e-10, 5),
+        (32, TWO_PI, -2, 0.5, 1e-10, 7),
+        (64, TWO_PI, 2, 1.0, 1e-15, 3),
+        (256, 1.0, 2, 1.0, 1e-10, 4),  # fails on commutation rounding alone
+        (256, 1.0, 2, 1.0, 1e-10, 2),
+    ],
+)
+def test_map_check_exit_code_is_the_shared_bound_list(
+    capsys, sites, length, winding, scale, tol, seed
+):
+    draws = 4
+    code, out, _ = run(
+        capsys,
+        "map-check",
+        f"--sites={sites}",
+        f"--length={length!r}",
+        f"--winding={winding}",
+        f"--scale={scale!r}",
+        f"--tol={tol!r}",
+        f"--sections={draws}",
+        f"--seed={seed}",
+    )
+    rng = np.random.default_rng(seed)
+    drawn = [random_band_limited_section(sites, length, rng) for _ in range(draws)]
+    checks = map_checks(drawn, build_theta(sites, length, winding), 1.0, scale, 1, tol)
+    passed = all(value <= bound for _, value, bound in checks)
+    assert code == (0 if passed else 1)
+    document = json.loads(out)
+    assert document["passed"] is passed
+    printed = {**document["residuals"]}
+    printed["kernel_residual"] = document["kernel_residual"]
+    printed["mapped_kernel_residual"] = document["mapped_kernel_residual"]
+    assert printed == {key: value for key, value, _ in checks}
+    assert document["parameters"]["tol"] == tol
 
 
 def test_map_check_reads_section_file(capsys, tmp_path):

@@ -1,7 +1,7 @@
 import inspect
 
 import spinorlab
-from spinorlab import dispersion, lattice
+from spinorlab import dispersion, lattice, sections
 
 
 def _defined_here(module) -> set[str]:
@@ -53,3 +53,32 @@ def test_one_dispersion_api_and_an_oracle_only_lattice():
         "mode_indices",
         "ring_spectrum",
     }
+
+
+def test_sections_exports_one_bound_list():
+    # map_checks is the one reader of the phase-map bounds; the bound
+    # constants stay private
+    assert sections.__all__ == [
+        "SampledSection",
+        "HalfWindingPhase",
+        "half_phase",
+        "to_standard",
+        "to_exotic",
+        "ring_derivative",
+        "standard_dirac",
+        "exotic_dirac",
+        "intertwining_residual",
+        "commutation_residual",
+        "density_residual",
+        "map_residuals",
+        "kernel_residuals",
+        "map_checks",
+        "grid_norm",
+        "random_band_limited_section",
+        "plane_wave_section",
+        "kernel_mode",
+        "section_to_json",
+        "section_from_json",
+    ]
+    assert _defined_here(sections) == set(sections.__all__)
+    assert not {"MAP_TOL", "MAP_BOUNDS", "KERNEL_BOUNDS"} & set(vars(sections))

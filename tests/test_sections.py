@@ -5,6 +5,8 @@ import pytest
 
 from spinorlab.dispersion import Structure
 from spinorlab.errors import DomainError
+from spinorlab import sections
+from spinorlab.gamma import GAMMA0, GAMMA3
 from spinorlab.sections import (
     HalfWindingPhase,
     SampledSection,
@@ -15,6 +17,9 @@ from spinorlab.sections import (
     half_phase,
     intertwining_residual,
     kernel_mode,
+    kernel_residuals,
+    map_checks,
+    map_residuals,
     plane_wave_section,
     random_band_limited_section,
     ring_derivative,
@@ -24,7 +29,7 @@ from spinorlab.sections import (
     to_exotic,
     to_standard,
 )
-from spinorlab.winding import build_theta, gradient_field
+from spinorlab.winding import build_theta, gradient_field, pointwise_gradient
 
 TWO_PI = 2.0 * math.pi
 N = 64
@@ -145,34 +150,106 @@ def test_ring_derivative_antiperiodic_exact():
         assert np.max(np.abs(deriv - 1j * half * values)) <= 1e-12
 
 
+def _multiplier(theta, scale=1.0):
+    """D_plus's pointwise factor -(s/2)*theta', as map_residuals builds it."""
+    return -0.5 * scale * pointwise_gradient(theta)
+
+
 def test_intertwining_both_directions_vanish():
     rng = np.random.default_rng(12)
     theta = _theta()
+    phase = half_phase(theta)
     for _ in range(5):
         section = random_band_limited_section(N, TWO_PI, rng)
-        for direction in ("plus", "minus"):
-            residual = intertwining_residual(
-                section, theta, mass=0.7, direction=direction, scale=1.0
-            )
-            assert residual <= 1e-10
+        plus, minus = intertwining_residual(section, phase, _multiplier(theta), mass=0.7)
+        assert plus <= 1e-10
+        assert minus <= 1e-10
 
 
 def test_intertwining_detects_wrong_multiplier_strength():
     rng = np.random.default_rng(12)
     theta = _theta()
     section = random_band_limited_section(N, TWO_PI, rng)
-    residual = intertwining_residual(section, theta, mass=0.7, scale=0.5)
-    assert residual > 1e-2
+    residuals = intertwining_residual(section, half_phase(theta), _multiplier(theta, 0.5), 0.7)
+    assert min(residuals) > 1e-2
 
 
 def test_intertwining_with_transverse_momentum_and_energy():
     rng = np.random.default_rng(14)
     theta = _theta()
     section = random_band_limited_section(N, TWO_PI, rng)
-    residual = intertwining_residual(
-        section, theta, 0.3, "plus", 1.0, p_transverse=(0.2, -0.1), energy=0.9
+    residuals = intertwining_residual(
+        section, half_phase(theta), _multiplier(theta), 0.3, p_transverse=(0.2, -0.1), energy=0.9
     )
-    assert residual <= 1e-10
+    assert max(residuals) <= 1e-10
+
+
+def _per_direction(section, theta, mass, direction, scale, p_transverse, energy):
+    """Reference: one identity at a time, each with its own phase and operators."""
+    phase = half_phase(theta)
+    if direction == "plus":
+        inner = exotic_dirac(section, theta, mass, "plus", scale, p_transverse, energy)
+        lhs = to_standard(inner, phase)
+        rhs = standard_dirac(to_standard(section, phase), mass, p_transverse, energy)
+    else:
+        lhs = to_standard(standard_dirac(section, mass, p_transverse, energy), phase)
+        rhs = exotic_dirac(
+            to_standard(section, phase), theta, mass, "minus", scale, p_transverse, energy
+        )
+    return grid_norm(lhs.values - rhs.values, section.circumference)
+
+
+@pytest.mark.parametrize("winding", [0, 1, -3, 2])
+@pytest.mark.parametrize("scale", [1.0, 0.5, -2.0])
+def test_one_pass_pair_is_the_per_direction_computation(winding, scale):
+    rng = np.random.default_rng(100 + winding)
+    for sites, length in ((64, TWO_PI), (40, 3.7)):
+        theta = _theta(w=winding, L=length, n=sites)
+        phase = half_phase(theta)
+        for p_transverse, energy in (((0.0, 0.0), 0.0), ((0.2, -0.7), 1.3)):
+            section = random_band_limited_section(sites, length, rng)
+            pair = intertwining_residual(
+                section, phase, _multiplier(theta, scale), 0.6, p_transverse, energy
+            )
+            reference = tuple(
+                _per_direction(section, theta, 0.6, direction, scale, p_transverse, energy)
+                for direction in ("plus", "minus")
+            )
+            assert pair == reference  # bit for bit
+
+
+@pytest.mark.parametrize("winding", [1, -2])
+def test_map_residuals_is_the_per_direction_computation(winding):
+    rng = np.random.default_rng(31)
+    theta = _theta(w=winding)
+    drawn = [random_band_limited_section(N, TWO_PI, rng) for _ in range(4)]
+    worst = map_residuals(drawn, theta, 0.9, scale=0.5)
+    for key, direction in (("intertwine_plus", "plus"), ("intertwine_minus", "minus")):
+        reference = max(
+            _per_direction(section, theta, 0.9, direction, 0.5, (0.0, 0.0), 0.0)
+            for section in drawn
+        )
+        assert worst[key] == reference
+
+
+def test_map_residuals_takes_one_phase_and_two_derivatives_per_section(monkeypatch):
+    theta = _theta(w=3)  # odd: the images take the antiperiodic derivative
+    rng = np.random.default_rng(2)
+    drawn = [random_band_limited_section(N, TWO_PI, rng) for _ in range(5)]
+    calls = {"half_phase": 0, "fft": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(sections, "half_phase", counted("half_phase", sections.half_phase))
+    # every ring derivative, periodic or on the doubled ring, is one forward FFT
+    monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
+    map_residuals(drawn, theta, 0.8)
+    assert calls == {"half_phase": 1, "fft": 2 * len(drawn)}
 
 
 def test_commutation_residual_exact_zero_on_unit_ring():
@@ -190,22 +267,22 @@ def test_density_preserved_pointwise():
 
 def test_kernel_modes_are_annihilated():
     theta = _theta()
-    for operator in ("plus", "minus"):
+    for scale in (1.0, -1.0, 0.5):
         for harmonic in (-2, 0, 1):
-            section, energy = kernel_mode(
-                theta, mass=0.8, harmonic=harmonic, operator=operator
-            )
-            out = exotic_dirac(
-                section, theta, 0.8, operator, scale=1.0, energy=energy
-            )
+            section, energy = kernel_mode(theta, mass=0.8, harmonic=harmonic, scale=scale)
+            out = exotic_dirac(section, theta, 0.8, "plus", scale=scale, energy=energy)
+            assert grid_norm(out.values, TWO_PI) <= 1e-10
+            # D_minus at scale s is D_plus at scale -s
+            out = exotic_dirac(section, theta, 0.8, "minus", scale=-scale, energy=energy)
             assert grid_norm(out.values, TWO_PI) <= 1e-10
 
 
 def test_kernel_mode_energy_is_shifted_on_shell():
     theta = _theta()
-    section, energy = kernel_mode(theta, mass=0.8, harmonic=0, operator="plus")
+    section, energy = kernel_mode(theta, mass=0.8, harmonic=0)
     assert energy == pytest.approx(math.sqrt(0.8**2 + 0.25), abs=1e-12)
-    _, free_energy = kernel_mode(theta, mass=0.8, harmonic=1, operator="free")
+    # at scale 0 D_plus is D0: the free mode
+    _, free_energy = kernel_mode(theta, mass=0.8, harmonic=1, scale=0.0)
     assert free_energy == pytest.approx(math.sqrt(0.8**2 + 1.0), abs=1e-12)
     out = standard_dirac(section, 0.8, energy=energy)
     # the shifted-kernel mode is not annihilated by the standard operator
@@ -214,9 +291,73 @@ def test_kernel_mode_energy_is_shifted_on_shell():
 
 def test_free_kernel_mode_annihilated_by_standard_operator():
     theta = _theta()
-    section, energy = kernel_mode(theta, mass=0.5, harmonic=1, operator="free")
+    section, energy = kernel_mode(theta, mass=0.5, harmonic=1, scale=0.0)
     out = standard_dirac(section, 0.5, energy=energy)
     assert grid_norm(out.values, TWO_PI) <= 1e-10
+
+
+@pytest.mark.parametrize("mass", [0.0, 1e-9, 1e-300])
+def test_kernel_mode_at_zero_energy(mass):
+    # winding -2 on the unit ring shifts harmonic 1 to q_eff = 0
+    theta = _theta(w=-2)
+    section, energy = kernel_mode(theta, mass, harmonic=1)
+    assert abs(energy - mass) <= 1e-15
+    # E + m is the only nonzero entry of column 0, or the projector vanishes
+    assert np.max(np.abs(section.values[0] - np.eye(4)[0])) <= 1e-15
+    assert max(kernel_residuals(theta, mass, 1)) <= 1e-12
+    drawn = [random_band_limited_section(N, TWO_PI, np.random.default_rng(0))]
+    assert all(value <= bound for _, value, bound in map_checks(drawn, theta, mass))
+
+
+def test_massless_kernel_mode_at_tiny_momentum():
+    # q_eff = 1 - scale = -1e-10: e_0 is not in the kernel, column 0 is
+    theta = _theta(w=-2)
+    section, energy = kernel_mode(theta, 0.0, 1, 1.0 + 1e-10)
+    assert energy == pytest.approx(1e-10, rel=1e-6)
+    # the mapped mode is off by the 1e-10 scale error; the mode itself is exact
+    kernel, _ = kernel_residuals(theta, 0.0, 1, 1.0 + 1e-10)
+    assert kernel <= 1e-12
+
+
+def test_vanishing_projector_takes_the_first_basis_spinor():
+    # flat field, harmonic 0, massless: E = 0 and D_plus is zero on constants
+    theta = _theta(w=0)
+    section, energy = kernel_mode(theta, 0.0, harmonic=0)
+    assert energy == 0.0
+    assert np.array_equal(section.values, np.tile(np.eye(4)[0], (N, 1)))
+    assert kernel_residuals(theta, 0.0, 0) == (0.0, 0.0)
+
+
+def _first_large_column(theta, mass, harmonic, scale):
+    """Reference: the first projector column with norm above 1e-8, or None."""
+    q_eff = 2.0 * math.pi * harmonic / theta.circumference
+    q_eff = q_eff + 0.5 * scale * float(np.mean(pointwise_gradient(theta)))
+    energy = math.sqrt(mass**2 + q_eff**2)
+    onshell = energy * GAMMA0 - q_eff * GAMMA3 + mass * np.eye(4)
+    for column in range(4):
+        candidate = onshell[:, column]
+        if np.linalg.norm(candidate) > 1e-8:
+            return candidate / np.linalg.norm(candidate)
+    return None
+
+
+def test_kernel_spinor_is_the_first_large_projector_column():
+    rng = np.random.default_rng(40)
+    checked = 0
+    for _ in range(200):
+        winding = int(rng.integers(-7, 8))
+        length = float(rng.uniform(0.5, 20.0))
+        theta = build_theta(N, length, winding)
+        mass = float(rng.choice([0.0, 1e-9, rng.uniform(0.0, 3.0)]))
+        harmonic = int(rng.integers(-5, 6))
+        scale = float(rng.choice([1.0, 0.5, -2.0, rng.uniform(-4.0, 4.0)]))
+        reference = _first_large_column(theta, mass, harmonic, scale)
+        section, _ = kernel_mode(theta, mass, harmonic, scale)
+        if reference is not None:
+            checked += 1
+            # column 0 wherever the old scan found a column: the same bits
+            assert np.array_equal(section.values[0], reference)
+    assert checked >= 150
 
 
 def test_flat_field_phase_is_identity():

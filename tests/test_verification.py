@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinorlab import verification
 from spinorlab.errors import DomainError
 from spinorlab.lattice import RingSpec, mode_indices, ring_spectrum
 from spinorlab.verification import (
@@ -26,6 +27,26 @@ TWO_PI = 2.0 * math.pi
 def test_seeded_suites_pass_for_any_seed(suite, seed):
     failed = [check for check in suite(seed=seed) if not check.passed]
     assert not failed, failed
+
+
+def test_sections_suite_reads_the_shared_bound_list(monkeypatch):
+    # the suite's verdicts are the list's value <= bound; a bound below
+    # every value fails all six map checks and nothing else
+    shared = verification.map_checks
+
+    def below(*args, **kwargs):
+        return [(key, value, -1.0) for key, value, _ in shared(*args, **kwargs)]
+
+    monkeypatch.setattr(verification, "map_checks", below)
+    failed = [check.name for check in sections_checks() if not check.passed]
+    assert failed == [
+        "intertwine-plus",
+        "intertwine-minus",
+        "phase-commutation",
+        "density-invariance",
+        "map-roundtrip",
+        "kernel-transport",
+    ]
 
 
 # --- lattice against the closed form ----------------------------------------
