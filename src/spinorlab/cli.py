@@ -6,8 +6,9 @@ Report, rendered as CSV (parameters echoed as leading comment lines, then
 the single-valued fields as one header line and one row, then each table;
 floats to 12 significant digits, cells quoted per RFC 4180) or JSON (fixed
 key order, round-trip-exact floats, a table as one object per row).
-Identical invocations produce byte-identical output; wall time is measured
-but only ever printed to stderr, and only with --timing.
+Identical invocations produce byte-identical output; with --timing, the
+parse, compute, render and write stages are timed and written to stderr
+only, one JSON line each.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 usage error, 3 domain error (bad input to the mathematics or an
@@ -47,10 +48,35 @@ from .winding import TWO_PI, WindingGradient, build_theta
 
 @dataclass(frozen=True)
 class Table:
-    """Rows under a header: a CSV block, or in JSON one object per row."""
+    """Rows under a header: a CSV block, or in JSON one object per row.
+
+    Each renderer prints the rows through one %-template per table, built
+    from the header and the kind of each column (see columns).
+    """
 
     header: tuple[str, ...]
     rows: Sequence[Sequence]
+
+    def columns(self, float_conversion: str, cell) -> tuple[list[str], list[Sequence]]:
+        """Each column's %-conversion and the values that fill it.
+
+        A column of finite floats takes float_conversion and a column of
+        ints %d.  Any other column (text, bools, None, nested data,
+        non-finite floats or mixed kinds) is rendered value by value by
+        cell and taken by %s.
+        """
+        columns: list[Sequence] = list(zip(*self.rows))
+        conversions = []
+        for i, column in enumerate(columns):
+            kinds = set(map(type, column))
+            if kinds == {float} and all(map(math.isfinite, column)):
+                conversions.append(float_conversion)
+            elif kinds == {int}:
+                conversions.append("%d")
+            else:
+                columns[i] = list(map(cell, column))
+                conversions.append("%s")
+        return conversions, columns
 
 
 @dataclass(frozen=True)
@@ -96,8 +122,14 @@ def _cell(value) -> str:
     return text
 
 
+def _json_value(value, indent: str) -> str:
+    """value as json.dumps(indent=2) prints it nested at the given indent."""
+    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n" + indent)
+
+
 def _render_csv(report: Report) -> str:
-    lines = [f"# {key} = {_fmt12(value)}" for key, value in report.parameters.items()]
+    # every line ends in a newline and the pieces are joined once
+    pieces = [f"# {key} = {_fmt12(value)}\n" for key, value in report.parameters.items()]
     tables = [report.csv_table]
     if report.csv_table is None:
         tables = [value for value in report.fields.values() if isinstance(value, Table)]
@@ -107,32 +139,61 @@ def _render_csv(report: Report) -> str:
         if single:
             tables.insert(0, Table(tuple(single), [tuple(single.values())]))
     for table in tables:
-        lines.append(",".join(map(_cell, table.header)))
-        lines.extend(",".join(map(_cell, row)) for row in table.rows)
-    return "\n".join(lines) + "\n"
+        pieces.append(",".join(map(_cell, table.header)) + "\n")
+        conversions, columns = table.columns("%.12g", _cell)
+        template = ",".join(conversions) + "\n"
+        pieces.extend(map(template.__mod__, zip(*columns)))
+    return "".join(pieces)
+
+
+def _json_table(table: Table) -> list[str]:
+    """A table as json.dumps(indent=2) prints a list of row objects at depth 1."""
+    if not table.rows:
+        return ["[]"]
+    # %r is the float repr that json uses, exact for the finite floats that
+    # columns() lets through; every row carries its leading separator
+    conversions, columns = table.columns("%r", lambda value: _json_value(value, " " * 6))
+    template = ",\n    {%s\n    }" % ",".join(
+        "\n      %s: %s" % (json.dumps(key, ensure_ascii=False).replace("%", "%%"), conversion)
+        for key, conversion in zip(table.header, conversions)
+    )
+    rows = list(map(template.__mod__, zip(*columns)))
+    rows[0] = rows[0][1:]
+    return ["[", *rows, "\n  ]"]
 
 
 def _render_json(report: Report) -> str:
-    document = {"command": report.command, "parameters": report.parameters}
-    for key, value in report.fields.items():
+    document = {"command": report.command, "parameters": report.parameters, **report.fields}
+    pieces = []
+    for key, value in document.items():
+        pieces.append(",\n  " if pieces else "{\n  ")
+        pieces.append(json.dumps(key, ensure_ascii=False) + ": ")
         if isinstance(value, Table):
-            value = [dict(zip(value.header, row)) for row in value.rows]
-        document[key] = value
-    return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+            pieces.extend(_json_table(value))
+        else:
+            pieces.append(_json_value(value, "  "))
+    pieces.append("\n}\n")
+    return "".join(pieces)
 
 
-def emit(report: Report, fmt: str, destination: str | None) -> None:
-    """Render a report and write it to a file or stdout."""
+def emit(report: Report, fmt: str, destination: str | None, mark) -> None:
+    """Render a report and write it to a file or stdout.
+
+    mark is called with "render" once the text is rendered and with "write"
+    once it is written.
+    """
     if fmt == "csv":
         rendered = _render_csv(report)
     elif fmt == "json":
         rendered = _render_json(report)
     else:
         raise DomainError(f"unknown format {fmt!r}")
+    mark("render")
     if destination is None or destination == "-":
         sys.stdout.write(rendered)
     else:
         Path(destination).write_text(rendered)
+    mark("write")
 
 
 def _parse_vector(text: str, dims: int, flag: str) -> np.ndarray:
@@ -516,7 +577,9 @@ def _add_common(parser: argparse.ArgumentParser, default_format: str) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default=default_format)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--config", default=None, help="key = value file for scale/tol")
-    parser.add_argument("--timing", action="store_true", help="print wall time to stderr")
+    parser.add_argument(
+        "--timing", action="store_true", help="write per-stage spans to stderr as JSON lines"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -608,7 +671,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Stages:
+    """Consecutive stage spans of one invocation, timed from its start."""
+
+    def __init__(self):
+        self.started = self.last = time.perf_counter()
+        self.spans: list[tuple[str, float, float]] = []
+
+    def mark(self, stage: str) -> None:
+        """Close the stage that ran since the previous mark."""
+        now = time.perf_counter()
+        self.spans.append((stage, self.last - self.started, now - self.last))
+        self.last = now
+
+    def lines(self) -> str:
+        return "".join(
+            f'{{"stage": "{stage}", "start_s": {start:.6f}, "duration_s": {duration:.6f}}}\n'
+            for stage, start, duration in self.spans
+        )
+
+
 def main(argv: list[str] | None = None) -> int:
+    stages = _Stages()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -621,15 +705,16 @@ def main(argv: list[str] | None = None) -> int:
     fmt = options.pop("format")
     destination = options.pop("out")
     timing = options.pop("timing")
-    started = time.perf_counter()
+    stages.mark("parse")
     try:
         report = run_command(command, options)
-        emit(report, fmt, destination)
+        stages.mark("compute")
+        emit(report, fmt, destination, stages.mark)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if timing:
-        print(f"wall time: {time.perf_counter() - started:.6f} s", file=sys.stderr)
+        sys.stderr.write(stages.lines())
     return report.exit_code
 
 

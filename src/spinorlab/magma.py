@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from operator import itemgetter, ne
 
 from .errors import DomainError
 
@@ -146,13 +147,22 @@ def analyze(magma: FiniteMagma) -> StructureReport:
         if table[x][y] != table[y][x]
     )
 
+    # row by row: for each (x, y), (xy)z is row xy of the table and x(yz)
+    # is row x read at the entries of row y, compared over every z at once.
+    # A one-element magma is associative, and itemgetter of a single index
+    # would return a bare entry, so it has no lookups to scan.
     assoc_count = 0
     witness: tuple[str, str, str] | None = None
-    for x, y, z in itertools.product(range(n), repeat=3):
-        if table[table[x][y]][z] != table[x][table[y][z]]:
-            assoc_count += 1
-            if witness is None:
-                witness = (magma.carrier[x], magma.carrier[y], magma.carrier[z])
+    lookups = [itemgetter(*row) for row in table] if n > 1 else []
+    for x, row_x in enumerate(table):
+        for y, lookup in enumerate(lookups):
+            left, right = table[row_x[y]], lookup(row_x)
+            mismatches = sum(map(ne, left, right))
+            if mismatches:
+                assoc_count += mismatches
+                if witness is None:
+                    z = next(z for z in range(n) if left[z] != right[z])
+                    witness = (magma.carrier[x], magma.carrier[y], magma.carrier[z])
 
     is_group = False
     if len(identities) == 1 and assoc_count == 0:

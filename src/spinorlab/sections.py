@@ -408,12 +408,20 @@ def kernel_mode(
     its norm, sqrt(2E(E + m)), is the largest of the four columns'.  At
     E = m = 0 the projector vanishes and every spinor is in the kernel, so
     the spinor is e_0.  Applying D_plus at that energy annihilates the
-    section up to rounding.
+    section up to rounding.  An energy that overflows float64 is a
+    DomainError.
     """
     q = 2.0 * math.pi * harmonic / theta.circumference
     k3 = float(np.mean(pointwise_gradient(theta)))
     q_eff = q + 0.5 * scale * k3
-    energy = math.sqrt(mass**2 + q_eff**2)
+    try:
+        energy = math.sqrt(mass**2 + q_eff**2)
+    except OverflowError:
+        energy = math.inf
+    if not math.isfinite(energy):
+        raise DomainError(
+            f"kernel mode energy: m^2 + q_eff^2 overflows float64 at m = {mass!r}, q_eff = {q_eff!r}"
+        )
     e0 = np.eye(4)[0]
     column = energy * GAMMA0[:, 0] - q_eff * GAMMA3[:, 0] + mass * e0
     norm = np.linalg.norm(column)
@@ -454,11 +462,16 @@ def map_checks(
     The five map_residuals keys, worst over the sections, then
     kernel_residual and mapped_kernel_residual, the kernel_residuals pair
     at the given harmonic.  tol (1e-10 when None) bounds the intertwining
-    and kernel residuals; the other three are held to a fixed 1e-15.
+    and kernel residuals and must be positive and finite; the other three
+    are held to a fixed 1e-15.
     """
     tol = _MAP_TOL if tol is None else tol
-    worst = map_residuals(sections, theta, mass, scale)
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    # the one-mode kernel pair first: it rejects an overflowing energy before
+    # the sections are scanned
     kernel = kernel_residuals(theta, mass, harmonic, scale)
+    worst = map_residuals(sections, theta, mass, scale)
     checks = [
         (key, worst[key], tol if bound is None else bound)
         for key, bound in _MAP_BOUNDS.items()

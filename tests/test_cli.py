@@ -67,10 +67,20 @@ def test_out_writes_file_and_keeps_stdout_quiet(capsys, tmp_path):
 
 
 def test_timing_goes_to_stderr_only(capsys):
-    code, out, err = run(capsys, *DISPERSION_ARGS, "--timing")
-    assert code == 0
-    assert "wall time" in err
-    assert "wall time" not in out
+    for fmt in ("csv", "json"):
+        _, plain, plain_err = run(capsys, *DISPERSION_ARGS, "--format", fmt)
+        code, out, err = run(capsys, *DISPERSION_ARGS, "--format", fmt, "--timing")
+        assert code == 0
+        assert (out, plain_err) == (plain, "")
+        spans = [json.loads(line) for line in err.splitlines()]
+        assert [span["stage"] for span in spans] == ["parse", "compute", "render", "write"]
+        # the stages follow one another from the start of the invocation
+        assert spans[0]["start_s"] == 0.0
+        for span, following in zip(spans, spans[1:]):
+            assert span["duration_s"] >= 0.0
+            assert following["start_s"] == pytest.approx(
+                span["start_s"] + span["duration_s"], abs=2e-6
+            )
 
 
 def test_unwritable_destination_is_domain_exit(capsys, tmp_path):
@@ -456,6 +466,36 @@ def test_map_check_reads_section_file(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["parameters"]["sections"] == 1
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_map_check_rejects_a_tol_that_is_not_positive_and_finite(capsys, tmp_path, tol, source):
+    argv = ["map-check", "--sites", "16", "--sections", "1"]
+    if source == "flag":
+        argv.append(f"--tol={tol}")
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"tol = {tol}\n")
+        argv += ["--config", str(config)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: tol must be positive and finite, got {float(tol)!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, quantity",
+    [
+        (("--m", "1e200"), "m = 1e+200, q_eff = 1.5"),
+        (("--scale", "1e308", "--winding", "2", "--length", "0.5"), "m = 1.0, q_eff = inf"),
+    ],
+)
+def test_map_check_kernel_energy_overflow_exits_3(capsys, argv, quantity):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "map-check", "--sites", "16", "--sections", "1", *argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: kernel mode energy: m^2 + q_eff^2 overflows float64 at {quantity}\n"
 
 
 def test_algebra_analyze_builtin(capsys):

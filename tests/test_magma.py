@@ -7,6 +7,8 @@ in the package data cannot silently agree with itself.
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinorlab.errors import DomainError
 from spinorlab.magma import (
@@ -101,6 +103,32 @@ def _brute_force(magma):
 @pytest.mark.parametrize("name", ["z2", "prefer_standard", "prefer_exotic"])
 def test_analyze_matches_brute_force(name):
     magma = builtin(name)
+    report = analyze(magma)
+    identities, absorbers, commut, assoc = _brute_force(magma)
+    assert list(report.identities) == identities
+    assert list(report.absorbers) == absorbers
+    assert list(report.commutativity_violations) == commut
+    assert report.associativity_violations == len(assoc)
+    assert report.associativity_witness == (assoc[0] if assoc else None)
+
+
+@st.composite
+def magmas(draw):
+    """A random table on 1-12 elements, or a cyclic group with a few cells changed."""
+    n = draw(st.integers(1, 12))
+    entry = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    else:
+        rows = [[(x + y) % n for y in range(n)] for x in range(n)]
+        for x, y, value in draw(st.lists(st.tuples(entry, entry, entry), max_size=3)):
+            rows[x][y] = value
+    return FiniteMagma("random", tuple(f"e{i}" for i in range(n)), tuple(map(tuple, rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(magmas())
+def test_analyze_matches_brute_force_on_random_tables(magma):
     report = analyze(magma)
     identities, absorbers, commut, assoc = _brute_force(magma)
     assert list(report.identities) == identities

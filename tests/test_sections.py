@@ -309,6 +309,18 @@ def test_kernel_mode_at_zero_energy(mass):
     assert all(value <= bound for _, value, bound in map_checks(drawn, theta, mass))
 
 
+@pytest.mark.parametrize("mass, scale", [(1e200, 1.0), (1.0, 1e308)])
+def test_kernel_mode_energy_overflow_is_a_domain_error(mass, scale):
+    with pytest.raises(DomainError, match=r"m\^2 \+ q_eff\^2 overflows float64"):
+        kernel_mode(_theta(w=2), mass, 1, scale)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_map_checks_reject_a_tol_that_is_not_positive_and_finite(tol):
+    with pytest.raises(DomainError, match="tol must be positive and finite"):
+        map_checks([], _theta(w=1), 1.0, tol=tol)
+
+
 def test_massless_kernel_mode_at_tiny_momentum():
     # q_eff = 1 - scale = -1e-10: e_0 is not in the kernel, column 0 is
     theta = _theta(w=-2)
