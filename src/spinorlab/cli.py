@@ -39,7 +39,14 @@ from .dispersion import (
     signed_shift,
 )
 from .errors import DomainError
-from .lattice import STRUCTURE_TWIST, RingSpec, _group_levels, mode_indices, ring_spectrum
+from .lattice import (
+    STRUCTURE_TWIST,
+    RingSpec,
+    _group_levels,
+    dirac_energies,
+    mode_indices,
+    ring_spectrum,
+)
 from .magma import BUILTIN_NAMES, FiniteMagma, analyze, builtin, compose, from_json
 from .sections import map_checks, random_band_limited_section, section_from_json
 from .verification import SUITES, run_suite
@@ -390,7 +397,7 @@ def _run_ring_spectrum(options: dict) -> Report:
     # the generator's levels (2*pi*n + twist)/L increase with n, so the i-th
     # ascending eigenvalue belongs to the i-th mode index
     modes = mode_indices(spec)
-    energies = np.sqrt(mass**2 + flat**2)
+    energies = dirac_energies(mass, flat)
     levels = _group_levels(energies)
     # sorted by energy, rows fall into the levels in order; within a level
     # they go by n, so rounding cannot swap the rows of a degenerate pair

@@ -78,6 +78,12 @@ class RingSpec:
             raise DomainError("circumference must be positive and finite")
         if not math.isfinite(self.twist):
             raise DomainError("twist must be finite")
+        # the generator's largest level: the Nyquist momentum plus the twist
+        if not math.isfinite((math.pi * self.sites + abs(self.twist)) / self.circumference):
+            raise DomainError(
+                f"ring top level (pi*N + |twist|)/L overflows float64 at N = {self.sites}, "
+                f"L = {self.circumference!r}, twist = {self.twist!r}"
+            )
         if self.mass < 0.0 or not math.isfinite(self.mass):
             raise DomainError("mass must be finite and non-negative")
 
@@ -126,13 +132,21 @@ def _generator_column(spec: RingSpec) -> np.ndarray:
     the first identity column (whose FFT is all ones) fixes every entry;
     the twist adds twist/L to c[0].  Hermitizing the column, entry (i, j)
     against (j, i) as for the full matrix, makes c[-d] == conj(c[d]) bit
-    for bit.
+    for bit.  Entries that overflow float64, which a ring just inside
+    RingSpec's limit can reach in the sums, are a DomainError.
     """
     n = spec.sites
-    freqs = 2j * math.pi * np.fft.fftfreq(n, d=spec.circumference / n)
-    column = -1j * np.fft.ifft(freqs)
-    column[0] += spec.twist / spec.circumference
-    return 0.5 * (column + column[-np.arange(n) % n].conj())
+    with np.errstate(over="ignore", invalid="ignore"):
+        freqs = 2j * math.pi * np.fft.fftfreq(n, d=spec.circumference / n)
+        column = -1j * np.fft.ifft(freqs)
+        column[0] += spec.twist / spec.circumference
+        column = 0.5 * (column + column[-np.arange(n) % n].conj())
+    if not np.all(np.isfinite(column)):
+        raise DomainError(
+            f"ring generator entries overflow float64 at N = {n}, "
+            f"L = {spec.circumference!r}, twist = {spec.twist!r}"
+        )
+    return column
 
 
 def _generator_matrix(spec: RingSpec) -> np.ndarray:
@@ -205,6 +219,21 @@ def analytic_levels(spec: RingSpec) -> np.ndarray:
     return np.sort((TWO_PI * mode_indices(spec) + spec.twist) / spec.circumference)
 
 
+def dirac_energies(mass: float, levels: np.ndarray) -> np.ndarray:
+    """Single-particle energies sqrt(m^2 + e_n^2) of the momentum levels e_n.
+
+    An energy that overflows float64 is a DomainError.
+    """
+    with np.errstate(over="ignore"):
+        energies = np.sqrt(np.square(mass) + np.square(levels))
+    if not np.all(np.isfinite(energies)):
+        raise DomainError(
+            f"Dirac energy: m^2 + e_n^2 overflows float64 at m = {mass!r}, "
+            f"max |e_n| = {float(np.max(np.abs(levels)))!r}"
+        )
+    return energies
+
+
 def dirac_ring_spectrum(spec: RingSpec, structure: Structure) -> Spectrum:
     """Positive-branch Dirac energies for a spin structure on the ring.
 
@@ -221,4 +250,4 @@ def dirac_ring_spectrum(spec: RingSpec, structure: Structure) -> Spectrum:
         twist=STRUCTURE_TWIST[structure],
         mass=spec.mass,
     )
-    return _group_levels(np.sqrt(spec.mass**2 + ring_spectrum(base) ** 2))
+    return _group_levels(dirac_energies(spec.mass, ring_spectrum(base)))

@@ -13,10 +13,10 @@ doubled ring, never by re-using the phase factor, so the intertwining
 checks below are not circular).
 
 Operator conventions, fixed once here: with the Dirac-representation
-matrices and the mode ansatz exp(-i*E*t + i*(p1*x1 + p2*x2)) chi(x3), the
-standard operator acts as
+matrices and the mode ansatz exp(-i*E*t) chi(x3), the standard operator
+acts as
 
-    D0 chi = (E*g0 - p1*g1 - p2*g2 - m) chi + i*g3 chi'
+    D0 chi = (E*g0 - m) chi + i*g3 chi'
 
 and the shifted operators differ by the multiplier induced by the half
 phase,
@@ -24,7 +24,9 @@ phase,
     D_plus  = D0 - (s/2) * theta'(x) * g3,
     D_minus = D0 + (s/2) * theta'(x) * g3,
 
-so that at convention scale s = 1 the identities
+so D_minus at scale s is D_plus at -s.  dirac applies all three: D0, plus
+the multiplier term when a pointwise multiplier is given.  At convention
+scale s = 1 the identities
 
     U * (D_plus psi)  = D0 (U * psi)       (exotic section psi)
     U * (D0 psi)      = D_minus (U * psi)
@@ -32,13 +34,13 @@ so that at convention scale s = 1 the identities
 hold exactly; the residual functions report how far a given section is
 from them.  intertwining_residual measures both identities in one pass, and
 map_checks lists every phase-map residual and the kernel pair as (key,
-value, bound), the one list of bounds that map-check and verify's sections
-suite both read.  Plane-wave kernel modes of D_plus at ring momentum q sit
-at E = sqrt(m^2 + (q + (s/2)*k3)^2); relative to the closed dispersion form
-elsewhere in this package this is the opposite shift sign at half
-magnitude, which is a pure labelling convention (flip the winding to swap
-them) and is pinned here so the residuals vanish with U = e^{i theta/2}
-literally.
+value, bound) from one half phase and one multiplier, the one list of
+bounds that map-check and verify's sections suite both read.  Plane-wave
+kernel modes of D_plus at ring momentum q sit at E = sqrt(m^2 + (q +
+(s/2)*k3)^2); relative to the closed dispersion form elsewhere in this
+package this is the opposite shift sign at half magnitude, which is a pure
+labelling convention (flip the winding to swap them) and is pinned here so
+the residuals vanish with U = e^{i theta/2} literally.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import numpy as np
 
 from .dispersion import Structure
 from .errors import DomainError
-from .gamma import GAMMA0, GAMMA1, GAMMA2, GAMMA3
+from .gamma import GAMMA0, GAMMA3
 from .winding import ThetaField, WindingGradient, gradient_field, pointwise_gradient
 
 __all__ = [
@@ -62,13 +64,10 @@ __all__ = [
     "to_standard",
     "to_exotic",
     "ring_derivative",
-    "standard_dirac",
-    "exotic_dirac",
+    "dirac",
     "intertwining_residual",
     "commutation_residual",
     "density_residual",
-    "map_residuals",
-    "kernel_residuals",
     "map_checks",
     "grid_norm",
     "random_band_limited_section",
@@ -178,7 +177,7 @@ def to_exotic(section: SampledSection, phase: HalfWindingPhase) -> SampledSectio
 def ring_derivative(
     values: np.ndarray, circumference: float, antiperiodic: bool = False
 ) -> np.ndarray:
-    """Spectral d/dx along the ring, exact for band-limited data.
+    """Spectral d/dx along the ring of (N, 4) values, exact for band-limited data.
 
     Antiperiodic data is extended to the doubled ring as [v, -v], where it
     is an honest periodic function with odd half-integer harmonics, then
@@ -190,60 +189,40 @@ def ring_derivative(
         extended = np.concatenate([values, -values], axis=0)
         return ring_derivative(extended, 2.0 * circumference, False)[:n]
     freqs = 2j * math.pi * np.fft.fftfreq(n, d=circumference / n)
-    spectrum = np.fft.fft(values, axis=0)
-    if values.ndim == 1:
-        return np.fft.ifft(freqs * spectrum, axis=0)
-    return np.fft.ifft(freqs[:, None] * spectrum, axis=0)
+    return np.fft.ifft(freqs[:, None] * np.fft.fft(values, axis=0), axis=0)
 
 
-def _mode_term(
-    values: np.ndarray, mass: float, p_transverse, energy: float
-) -> np.ndarray:
-    p1, p2 = (float(p_transverse[0]), float(p_transverse[1]))
-    out = -mass * values
-    if energy != 0.0:
-        out = out + energy * (values @ GAMMA0.T)
-    if p1 != 0.0:
-        out = out - p1 * (values @ GAMMA1.T)
-    if p2 != 0.0:
-        out = out - p2 * (values @ GAMMA2.T)
-    return out
+def _shift(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+    """The multiplier term multiplier(x) * g3 psi of a shifted operator."""
+    return multiplier[:, None] * (values @ GAMMA3.T)
 
 
-def standard_dirac(
+def dirac(
     section: SampledSection,
     mass: float,
-    p_transverse=(0.0, 0.0),
     energy: float = 0.0,
+    multiplier: np.ndarray | None = None,
 ) -> SampledSection:
-    """Apply the standard operator D0 on a mode ansatz section."""
+    """Apply D0 on a mode ansatz section, plus multiplier * g3 when given.
+
+    multiplier holds one pointwise factor per site: -(s/2)*theta' gives
+    D_plus at scale s, and its negation D_minus (see module docstring).
+    """
     if mass < 0.0 or not math.isfinite(mass):
         raise DomainError("mass must be finite and non-negative")
+    if multiplier is not None:
+        multiplier = np.asarray(multiplier)
+        if multiplier.shape != (section.sites,):
+            raise DomainError("multiplier must hold one value per section site")
     derivative = ring_derivative(
         section.values, section.circumference, section.antiperiodic
     )
-    values = _mode_term(section.values, mass, p_transverse, energy)
+    values = -mass * section.values
+    if energy != 0.0:
+        values = values + energy * (section.values @ GAMMA0.T)
     values = values + 1j * (derivative @ GAMMA3.T)
-    return replace(section, values=values)
-
-
-def exotic_dirac(
-    section: SampledSection,
-    theta: ThetaField,
-    mass: float,
-    direction: str,
-    scale: float = 1.0,
-    p_transverse=(0.0, 0.0),
-    energy: float = 0.0,
-) -> SampledSection:
-    """Apply a shifted operator D_plus or D_minus (see module docstring)."""
-    if direction not in ("plus", "minus"):
-        raise DomainError("direction must be 'plus' or 'minus'")
-    _check_grid(section, theta)
-    base = standard_dirac(section, mass, p_transverse, energy)
-    sign = -1.0 if direction == "plus" else 1.0
-    multiplier = sign * 0.5 * scale * pointwise_gradient(theta)
-    values = base.values + multiplier[:, None] * (section.values @ GAMMA3.T)
+    if multiplier is not None:
+        values = values + _shift(section.values, multiplier)
     return replace(section, values=values)
 
 
@@ -260,7 +239,6 @@ def intertwining_residual(
     phase: HalfWindingPhase,
     multiplier: np.ndarray,
     mass: float,
-    p_transverse=(0.0, 0.0),
     energy: float = 0.0,
 ) -> tuple[float, float]:
     """Grid norms of the failures of both half-phase operator identities.
@@ -272,11 +250,11 @@ def intertwining_residual(
     and one U.  Both vanish to rounding at scale 1 for band-limited sections.
     """
     image = to_standard(section, phase)
-    free = standard_dirac(section, mass, p_transverse, energy).values
-    free_image = standard_dirac(image, mass, p_transverse, energy).values
+    free = dirac(section, mass, energy).values
+    free_image = dirac(image, mass, energy).values
     u = phase.values[:, None]
-    plus = (free + multiplier[:, None] * (section.values @ GAMMA3.T)) * u - free_image
-    minus = free * u - (free_image + (-multiplier)[:, None] * (image.values @ GAMMA3.T))
+    plus = (free + _shift(section.values, multiplier)) * u - free_image
+    minus = free * u - (free_image + _shift(image.values, -multiplier))
     return grid_norm(plus, section.circumference), grid_norm(minus, section.circumference)
 
 
@@ -305,11 +283,10 @@ def density_residual(section: SampledSection, phase: HalfWindingPhase) -> float:
     return float(np.max(np.abs(after - before)))
 
 
-# The bound on each map_residuals key: None stands for the caller's tol
+# The bound on each section residual key: None stands for the caller's tol
 # (_MAP_TOL unless given), the rest are rounding-level identities held to a
-# fixed 1e-15.  _KERNEL_BOUNDS holds the kernel_residuals pair to multiples
-# of that tol; it stays apart because _MAP_BOUNDS has exactly map_residuals'
-# keys.  map_checks is the one reader of all three.
+# fixed 1e-15.  _KERNEL_BOUNDS holds the kernel pair to multiples of that
+# tol.  map_checks is the one reader of all three.
 _MAP_TOL = 1e-10
 _MAP_BOUNDS = {
     "intertwine_plus": None,
@@ -321,40 +298,12 @@ _MAP_BOUNDS = {
 _KERNEL_BOUNDS = (1.0, 1.0 + 1e-6)
 
 
-def map_residuals(
-    sections: Iterable[SampledSection], theta: ThetaField, mass: float, scale: float = 1.0
-) -> dict[str, float]:
-    """Worst residual of each half-phase identity over the given sections.
-
-    Keys, in this order: intertwine_plus and intertwine_minus (grid norms,
-    see intertwining_residual), commutation, density, and roundtrip, the
-    sup norm of to_exotic(to_standard(psi)) - psi.  All are 0.0 when no
-    section is given.
-    """
-    phase = half_phase(theta)
-    field = gradient_field(theta, scale=scale)
-    multiplier = -0.5 * scale * pointwise_gradient(theta)
-    worst = dict.fromkeys(_MAP_BOUNDS, 0.0)
-    for section in sections:
-        back = to_exotic(to_standard(section, phase), phase)
-        residuals = (
-            *intertwining_residual(section, phase, multiplier, mass),
-            commutation_residual(section, field, phase),
-            density_residual(section, phase),
-            float(np.max(np.abs(back.values - section.values))),
-        )
-        for key, value in zip(worst, residuals):
-            worst[key] = max(worst[key], value)
-    return worst
-
-
 def random_band_limited_section(
     sites: int,
     circumference: float,
     rng: np.random.Generator,
-    structure: Structure = Structure.EXOTIC,
 ) -> SampledSection:
-    """Random section with harmonics |n| <= sites/4, unit sup density.
+    """Random exotic section with harmonics |n| <= sites/4, unit sup density.
 
     Band limiting keeps the spectral derivative exact; the normalization
     keeps unimodularity rounding below 1e-15 in the density check.  The
@@ -373,7 +322,7 @@ def random_band_limited_section(
     density = np.max(np.sum(np.abs(values) ** 2, axis=1))
     values /= math.sqrt(density)
     return SampledSection(
-        values=values, structure=structure, circumference=float(circumference)
+        values=values, structure=Structure.EXOTIC, circumference=float(circumference)
     )
 
 
@@ -382,9 +331,8 @@ def plane_wave_section(
     circumference: float,
     harmonic: int,
     spinor: np.ndarray,
-    structure: Structure = Structure.EXOTIC,
 ) -> SampledSection:
-    """Single harmonic exp(2*pi*i*n*x/L) times a constant spinor."""
+    """Exotic section: harmonic exp(2*pi*i*n*x/L) times a constant spinor."""
     spinor = np.asarray(spinor, dtype=complex)
     if spinor.shape != (4,):
         raise DomainError("spinor must have 4 components")
@@ -392,7 +340,7 @@ def plane_wave_section(
     wave = np.exp(2j * math.pi * harmonic * x / circumference)
     return SampledSection(
         values=wave[:, None] * spinor[None, :],
-        structure=structure,
+        structure=Structure.EXOTIC,
         circumference=float(circumference),
     )
 
@@ -426,27 +374,7 @@ def kernel_mode(
     column = energy * GAMMA0[:, 0] - q_eff * GAMMA3[:, 0] + mass * e0
     norm = np.linalg.norm(column)
     spinor = column / norm if norm > 0.0 else e0
-    section = plane_wave_section(
-        theta.sites, theta.circumference, harmonic, spinor, Structure.EXOTIC
-    )
-    return section, energy
-
-
-def kernel_residuals(
-    theta: ThetaField, mass: float, harmonic: int, scale: float = 1.0
-) -> tuple[float, float]:
-    """Grid norms of D_plus on its kernel mode and of D0 on the mode's image.
-
-    The mode is kernel_mode's at this harmonic; the image is its transport
-    by the half-phase map.  Both residuals vanish to rounding.
-    """
-    section, energy = kernel_mode(theta, mass, harmonic, scale)
-    image = to_standard(section, half_phase(theta))
-    length = theta.circumference
-    return (
-        grid_norm(exotic_dirac(section, theta, mass, "plus", scale, energy=energy).values, length),
-        grid_norm(standard_dirac(image, mass, energy=energy).values, length),
-    )
+    return plane_wave_section(theta.sites, theta.circumference, harmonic, spinor), energy
 
 
 def map_checks(
@@ -459,19 +387,40 @@ def map_checks(
 ) -> list[tuple[str, float, float]]:
     """Every half-phase identity as (key, value, bound), passing at value <= bound.
 
-    The five map_residuals keys, worst over the sections, then
-    kernel_residual and mapped_kernel_residual, the kernel_residuals pair
-    at the given harmonic.  tol (1e-10 when None) bounds the intertwining
-    and kernel residuals and must be positive and finite; the other three
-    are held to a fixed 1e-15.
+    First the worst over the sections of intertwine_plus and
+    intertwine_minus (grid norms, see intertwining_residual), commutation,
+    density and roundtrip, the sup norm of to_exotic(to_standard(psi)) -
+    psi; all are 0.0 when no section is given.  Then kernel_residual and
+    mapped_kernel_residual: the grid norms of D_plus on kernel_mode's
+    section at the given harmonic and of D0 on its half-phase image.  tol
+    (1e-10 when None) bounds the intertwining and kernel residuals and must
+    be positive and finite; the other three are held to a fixed 1e-15.
     """
     tol = _MAP_TOL if tol is None else tol
     if not (tol > 0.0 and math.isfinite(tol)):
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
-    # the one-mode kernel pair first: it rejects an overflowing energy before
-    # the sections are scanned
-    kernel = kernel_residuals(theta, mass, harmonic, scale)
-    worst = map_residuals(sections, theta, mass, scale)
+    # the kernel mode first: it rejects an overflowing energy before any
+    # array is scaled or a section scanned
+    mode, energy = kernel_mode(theta, mass, harmonic, scale)
+    phase = half_phase(theta)
+    multiplier = -0.5 * scale * pointwise_gradient(theta)
+    length = theta.circumference
+    kernel = (
+        grid_norm(dirac(mode, mass, energy, multiplier).values, length),
+        grid_norm(dirac(to_standard(mode, phase), mass, energy).values, length),
+    )
+    field = gradient_field(theta, scale=scale)
+    worst = dict.fromkeys(_MAP_BOUNDS, 0.0)
+    for section in sections:
+        back = to_exotic(to_standard(section, phase), phase)
+        residuals = (
+            *intertwining_residual(section, phase, multiplier, mass),
+            commutation_residual(section, field, phase),
+            density_residual(section, phase),
+            float(np.max(np.abs(back.values - section.values))),
+        )
+        for key, value in zip(worst, residuals):
+            worst[key] = max(worst[key], value)
     checks = [
         (key, worst[key], tol if bound is None else bound)
         for key, bound in _MAP_BOUNDS.items()

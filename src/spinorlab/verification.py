@@ -25,6 +25,7 @@ from .lattice import (
     STRUCTURE_TWIST,
     RingSpec,
     analytic_levels,
+    dirac_energies,
     dirac_ring_spectrum,
     mode_indices,
     ring_spectrum,
@@ -336,7 +337,7 @@ def lattice_deviation(spec: RingSpec, field: WindingGradient) -> float:
             raise DomainError(
                 f"field implies circumference {implied:.12g}, lattice has {length:.12g}"
             )
-    lattice = np.sort(np.sqrt(spec.mass**2 + ring_spectrum(spec) ** 2))
+    lattice = np.sort(dirac_energies(spec.mass, ring_spectrum(spec)))
     ring_momenta = TWO_PI * mode_indices(spec) / length
     momenta = np.column_stack((np.zeros((len(ring_momenta), 2)), ring_momenta))
     # the minus branch adds s*k3; with no shift it is the standard branch

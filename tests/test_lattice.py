@@ -17,6 +17,7 @@ from spinorlab.lattice import (
     _generator_matrix,
     _group_levels,
     analytic_levels,
+    dirac_energies,
     dirac_ring_spectrum,
     mode_indices,
     ring_spectrum,
@@ -130,6 +131,28 @@ def test_dense_dimension_is_bounded():
     dirac = RingSpec(sites=MAX_DENSE_DIMENSION // 2 + 2, circumference=1.0, twist=0.0)
     with pytest.raises(DomainError, match=f"dimension {MAX_DENSE_DIMENSION + 4}"):
         ring_spectrum(dirac, first_order=False)
+
+
+def test_a_ring_whose_levels_overflow_is_refused():
+    # the top level (pi*N + |twist|)/L is refused when it is not finite
+    with pytest.raises(DomainError, match=r"top level \(pi\*N \+ \|twist\|\)/L overflows"):
+        RingSpec(sites=8, circumference=1e-310, twist=0.0)
+    # just inside that limit the generator's Fourier sums still overflow
+    for length, twist in ((1.4e-307, 0.0), (1.0, 1.7e308)):
+        spec = RingSpec(sites=8, circumference=length, twist=twist)
+        with pytest.raises(DomainError, match="generator entries overflow float64"):
+            ring_spectrum(spec)
+
+
+def test_dirac_energies_are_the_closed_form_and_refuse_overflow():
+    rng = np.random.default_rng(17)
+    for mass in (0.0, 0.3, 7.5):
+        levels = rng.uniform(-50.0, 50.0, 64)
+        # np.square rounds like ** 2: the same bits
+        assert np.array_equal(dirac_energies(mass, levels), np.sqrt(mass**2 + levels**2))
+    for mass, levels in ((1e200, np.ones(4)), (0.0, np.array([1.0, 2e154]))):
+        with pytest.raises(DomainError, match=r"m\^2 \+ e_n\^2 overflows float64"):
+            dirac_energies(mass, levels)
 
 
 def test_full_turn_shifts_every_level_by_one_mode():

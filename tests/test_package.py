@@ -49,6 +49,7 @@ def test_one_dispersion_api_and_an_oracle_only_lattice():
         "RingSpec",
         "Spectrum",
         "analytic_levels",
+        "dirac_energies",
         "dirac_ring_spectrum",
         "mode_indices",
         "ring_spectrum",
@@ -65,13 +66,10 @@ def test_sections_exports_one_bound_list():
         "to_standard",
         "to_exotic",
         "ring_derivative",
-        "standard_dirac",
-        "exotic_dirac",
+        "dirac",
         "intertwining_residual",
         "commutation_residual",
         "density_residual",
-        "map_residuals",
-        "kernel_residuals",
         "map_checks",
         "grid_norm",
         "random_band_limited_section",

@@ -12,20 +12,17 @@ from spinorlab.sections import (
     SampledSection,
     commutation_residual,
     density_residual,
-    exotic_dirac,
+    dirac,
     grid_norm,
     half_phase,
     intertwining_residual,
     kernel_mode,
-    kernel_residuals,
     map_checks,
-    map_residuals,
     plane_wave_section,
     random_band_limited_section,
     ring_derivative,
     section_from_json,
     section_to_json,
-    standard_dirac,
     to_exotic,
     to_standard,
 )
@@ -151,7 +148,7 @@ def test_ring_derivative_antiperiodic_exact():
 
 
 def _multiplier(theta, scale=1.0):
-    """D_plus's pointwise factor -(s/2)*theta', as map_residuals builds it."""
+    """D_plus's pointwise factor -(s/2)*theta', as map_checks builds it."""
     return -0.5 * scale * pointwise_gradient(theta)
 
 
@@ -174,28 +171,30 @@ def test_intertwining_detects_wrong_multiplier_strength():
     assert min(residuals) > 1e-2
 
 
-def test_intertwining_with_transverse_momentum_and_energy():
+def test_intertwining_with_energy():
     rng = np.random.default_rng(14)
     theta = _theta()
     section = random_band_limited_section(N, TWO_PI, rng)
     residuals = intertwining_residual(
-        section, half_phase(theta), _multiplier(theta), 0.3, p_transverse=(0.2, -0.1), energy=0.9
+        section, half_phase(theta), _multiplier(theta), 0.3, energy=0.9
     )
     assert max(residuals) <= 1e-10
 
 
-def _per_direction(section, theta, mass, direction, scale, p_transverse, energy):
-    """Reference: one identity at a time, each with its own phase and operators."""
+def _per_direction(section, theta, mass, direction, scale, energy):
+    """Reference: one identity at a time, each with its own phase and operators.
+
+    D_plus at scale s is dirac with the multiplier -(s/2)*theta', D_minus
+    at s is D_plus at -s.
+    """
     phase = half_phase(theta)
+    multiplier = _multiplier(theta, scale)
     if direction == "plus":
-        inner = exotic_dirac(section, theta, mass, "plus", scale, p_transverse, energy)
-        lhs = to_standard(inner, phase)
-        rhs = standard_dirac(to_standard(section, phase), mass, p_transverse, energy)
+        lhs = to_standard(dirac(section, mass, energy, multiplier), phase)
+        rhs = dirac(to_standard(section, phase), mass, energy)
     else:
-        lhs = to_standard(standard_dirac(section, mass, p_transverse, energy), phase)
-        rhs = exotic_dirac(
-            to_standard(section, phase), theta, mass, "minus", scale, p_transverse, energy
-        )
+        lhs = to_standard(dirac(section, mass, energy), phase)
+        rhs = dirac(to_standard(section, phase), mass, energy, -multiplier)
     return grid_norm(lhs.values - rhs.values, section.circumference)
 
 
@@ -206,33 +205,30 @@ def test_one_pass_pair_is_the_per_direction_computation(winding, scale):
     for sites, length in ((64, TWO_PI), (40, 3.7)):
         theta = _theta(w=winding, L=length, n=sites)
         phase = half_phase(theta)
-        for p_transverse, energy in (((0.0, 0.0), 0.0), ((0.2, -0.7), 1.3)):
+        for energy in (0.0, 1.3):
             section = random_band_limited_section(sites, length, rng)
-            pair = intertwining_residual(
-                section, phase, _multiplier(theta, scale), 0.6, p_transverse, energy
-            )
+            pair = intertwining_residual(section, phase, _multiplier(theta, scale), 0.6, energy)
             reference = tuple(
-                _per_direction(section, theta, 0.6, direction, scale, p_transverse, energy)
+                _per_direction(section, theta, 0.6, direction, scale, energy)
                 for direction in ("plus", "minus")
             )
             assert pair == reference  # bit for bit
 
 
 @pytest.mark.parametrize("winding", [1, -2])
-def test_map_residuals_is_the_per_direction_computation(winding):
+def test_map_checks_is_the_per_direction_computation(winding):
     rng = np.random.default_rng(31)
     theta = _theta(w=winding)
     drawn = [random_band_limited_section(N, TWO_PI, rng) for _ in range(4)]
-    worst = map_residuals(drawn, theta, 0.9, scale=0.5)
+    worst = {key: value for key, value, _ in map_checks(drawn, theta, 0.9, scale=0.5)}
     for key, direction in (("intertwine_plus", "plus"), ("intertwine_minus", "minus")):
         reference = max(
-            _per_direction(section, theta, 0.9, direction, 0.5, (0.0, 0.0), 0.0)
-            for section in drawn
+            _per_direction(section, theta, 0.9, direction, 0.5, 0.0) for section in drawn
         )
         assert worst[key] == reference
 
 
-def test_map_residuals_takes_one_phase_and_two_derivatives_per_section(monkeypatch):
+def test_map_checks_takes_one_phase_and_two_derivatives_per_section_and_mode(monkeypatch):
     theta = _theta(w=3)  # odd: the images take the antiperiodic derivative
     rng = np.random.default_rng(2)
     drawn = [random_band_limited_section(N, TWO_PI, rng) for _ in range(5)]
@@ -248,8 +244,9 @@ def test_map_residuals_takes_one_phase_and_two_derivatives_per_section(monkeypat
     monkeypatch.setattr(sections, "half_phase", counted("half_phase", sections.half_phase))
     # every ring derivative, periodic or on the doubled ring, is one forward FFT
     monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
-    map_residuals(drawn, theta, 0.8)
-    assert calls == {"half_phase": 1, "fft": 2 * len(drawn)}
+    map_checks(drawn, theta, 0.8)
+    # two per section, and one each for the kernel mode and its image
+    assert calls == {"half_phase": 1, "fft": 2 * len(drawn) + 2}
 
 
 def test_commutation_residual_exact_zero_on_unit_ring():
@@ -270,10 +267,7 @@ def test_kernel_modes_are_annihilated():
     for scale in (1.0, -1.0, 0.5):
         for harmonic in (-2, 0, 1):
             section, energy = kernel_mode(theta, mass=0.8, harmonic=harmonic, scale=scale)
-            out = exotic_dirac(section, theta, 0.8, "plus", scale=scale, energy=energy)
-            assert grid_norm(out.values, TWO_PI) <= 1e-10
-            # D_minus at scale s is D_plus at scale -s
-            out = exotic_dirac(section, theta, 0.8, "minus", scale=-scale, energy=energy)
+            out = dirac(section, 0.8, energy, _multiplier(theta, scale))
             assert grid_norm(out.values, TWO_PI) <= 1e-10
 
 
@@ -284,7 +278,7 @@ def test_kernel_mode_energy_is_shifted_on_shell():
     # at scale 0 D_plus is D0: the free mode
     _, free_energy = kernel_mode(theta, mass=0.8, harmonic=1, scale=0.0)
     assert free_energy == pytest.approx(math.sqrt(0.8**2 + 1.0), abs=1e-12)
-    out = standard_dirac(section, 0.8, energy=energy)
+    out = dirac(section, 0.8, energy)
     # the shifted-kernel mode is not annihilated by the standard operator
     assert grid_norm(out.values, TWO_PI) > 1e-2
 
@@ -292,8 +286,14 @@ def test_kernel_mode_energy_is_shifted_on_shell():
 def test_free_kernel_mode_annihilated_by_standard_operator():
     theta = _theta()
     section, energy = kernel_mode(theta, mass=0.5, harmonic=1, scale=0.0)
-    out = standard_dirac(section, 0.5, energy=energy)
+    out = dirac(section, 0.5, energy)
     assert grid_norm(out.values, TWO_PI) <= 1e-10
+
+
+def _kernel_pair(theta, mass, harmonic=1, scale=1.0):
+    """map_checks' kernel_residual and mapped_kernel_residual, with no sections."""
+    *_, (_, kernel, _), (_, mapped, _) = map_checks([], theta, mass, scale, harmonic)
+    return kernel, mapped
 
 
 @pytest.mark.parametrize("mass", [0.0, 1e-9, 1e-300])
@@ -304,7 +304,7 @@ def test_kernel_mode_at_zero_energy(mass):
     assert abs(energy - mass) <= 1e-15
     # E + m is the only nonzero entry of column 0, or the projector vanishes
     assert np.max(np.abs(section.values[0] - np.eye(4)[0])) <= 1e-15
-    assert max(kernel_residuals(theta, mass, 1)) <= 1e-12
+    assert max(_kernel_pair(theta, mass)) <= 1e-12
     drawn = [random_band_limited_section(N, TWO_PI, np.random.default_rng(0))]
     assert all(value <= bound for _, value, bound in map_checks(drawn, theta, mass))
 
@@ -327,7 +327,7 @@ def test_massless_kernel_mode_at_tiny_momentum():
     section, energy = kernel_mode(theta, 0.0, 1, 1.0 + 1e-10)
     assert energy == pytest.approx(1e-10, rel=1e-6)
     # the mapped mode is off by the 1e-10 scale error; the mode itself is exact
-    kernel, _ = kernel_residuals(theta, 0.0, 1, 1.0 + 1e-10)
+    kernel, _ = _kernel_pair(theta, 0.0, scale=1.0 + 1e-10)
     assert kernel <= 1e-12
 
 
@@ -337,7 +337,7 @@ def test_vanishing_projector_takes_the_first_basis_spinor():
     section, energy = kernel_mode(theta, 0.0, harmonic=0)
     assert energy == 0.0
     assert np.array_equal(section.values, np.tile(np.eye(4)[0], (N, 1)))
-    assert kernel_residuals(theta, 0.0, 0) == (0.0, 0.0)
+    assert _kernel_pair(theta, 0.0, harmonic=0) == (0.0, 0.0)
 
 
 def _first_large_column(theta, mass, harmonic, scale):
@@ -405,11 +405,9 @@ def test_section_json_rejects_garbage():
 
 
 def test_exotic_dirac_guards():
-    theta = _theta()
     section = random_band_limited_section(N, TWO_PI, np.random.default_rng(3))
+    # a multiplier from a field on another grid
+    with pytest.raises(DomainError, match="one value per section site"):
+        dirac(section, 0.5, multiplier=_multiplier(build_theta(32, TWO_PI, 1)))
     with pytest.raises(DomainError):
-        exotic_dirac(section, theta, 0.5, "sideways")
-    with pytest.raises(DomainError):
-        exotic_dirac(section, build_theta(32, TWO_PI, 1), 0.5, "plus")
-    with pytest.raises(DomainError):
-        standard_dirac(section, -1.0)
+        dirac(section, -1.0)
