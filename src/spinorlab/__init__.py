@@ -29,8 +29,7 @@ from .dispersion import (
 from .errors import DomainError
 from .lattice import (
     RingSpec,
-    Spectrum,
-    dirac_ring_spectrum,
+    ring_modes,
     ring_spectrum,
 )
 from .magma import FiniteMagma, StructureReport, analyze, builtin, compose
@@ -67,7 +66,6 @@ __all__ = [
     "PreferenceContext",
     "RingSpec",
     "SampledSection",
-    "Spectrum",
     "Structure",
     "StructureReport",
     "ThetaField",
@@ -81,13 +79,13 @@ __all__ = [
     "compose",
     "default_degeneracy_tol",
     "density_residual",
-    "dirac_ring_spectrum",
     "gradient_field",
     "half_phase",
     "intertwining_residual",
     "involute",
     "involuted",
     "preferred_branch",
+    "ring_modes",
     "ring_spectrum",
     "run_chain",
     "select_table",

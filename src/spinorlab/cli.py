@@ -39,14 +39,7 @@ from .dispersion import (
     signed_shift,
 )
 from .errors import DomainError
-from .lattice import (
-    STRUCTURE_TWIST,
-    RingSpec,
-    _group_levels,
-    dirac_energies,
-    mode_indices,
-    ring_spectrum,
-)
+from .lattice import STRUCTURE_TWIST, RingSpec, ring_modes
 from .magma import BUILTIN_NAMES, FiniteMagma, analyze, builtin, compose, from_json
 from .sections import map_checks, random_band_limited_section, section_from_json
 from .verification import SUITES, run_suite
@@ -393,23 +386,8 @@ def _run_ring_spectrum(options: dict) -> Report:
     if count is not None and int(count) < 0:
         raise DomainError("--count must be non-negative")
     spec = RingSpec(sites=sites, circumference=length, twist=twist, mass=mass)
-    flat = ring_spectrum(spec, first_order=True)
-    # the generator's levels (2*pi*n + twist)/L increase with n, so the i-th
-    # ascending eigenvalue belongs to the i-th mode index
-    modes = mode_indices(spec)
-    energies = dirac_energies(mass, flat)
-    levels = _group_levels(energies)
-    # sorted by energy, rows fall into the levels in order; within a level
-    # they go by n, so rounding cannot swap the rows of a degenerate pair
-    level = np.repeat(np.arange(len(levels.multiplicities)), levels.multiplicities)
-    order = np.lexsort((modes, energies))
-    order = order[np.lexsort((modes[order], level))]
-    multiplicity = np.repeat(levels.multiplicities, levels.multiplicities)
-    limit = int(count) if count is not None else len(order)
-    rows = [
-        (int(modes[i]), float(flat[i]), float(energies[i]), int(mult))
-        for i, mult in zip(order[:limit], multiplicity[:limit])
-    ]
+    limit = int(count) if count is not None else None
+    rows = list(zip(*(column[:limit].tolist() for column in ring_modes(spec))))
     parameters = {
         "sites": sites,
         "length": length,

@@ -1,34 +1,12 @@
 # Dirac representation, metric signature (+,-,-,-).
 import numpy as np
 
-_I = 1j
-
 GAMMA0 = np.array(
     [
         [1, 0, 0, 0],
         [0, 1, 0, 0],
         [0, 0, -1, 0],
         [0, 0, 0, -1],
-    ],
-    dtype=complex,
-)
-
-GAMMA1 = np.array(
-    [
-        [0, 0, 0, 1],
-        [0, 0, 1, 0],
-        [0, -1, 0, 0],
-        [-1, 0, 0, 0],
-    ],
-    dtype=complex,
-)
-
-GAMMA2 = np.array(
-    [
-        [0, 0, 0, -_I],
-        [0, 0, _I, 0],
-        [0, _I, 0, 0],
-        [-_I, 0, 0, 0],
     ],
     dtype=complex,
 )

@@ -88,41 +88,18 @@ class RingSpec:
             raise DomainError("mass must be finite and non-negative")
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Distinct levels in ascending order with their multiplicities."""
-
-    eigenvalues: tuple[float, ...]
-    multiplicities: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.eigenvalues) != len(self.multiplicities):
-            raise DomainError("eigenvalues and multiplicities must align")
-        if any(m < 1 for m in self.multiplicities):
-            raise DomainError("multiplicities must be positive")
-        if any(
-            b < a for a, b in zip(self.eigenvalues, self.eigenvalues[1:])
-        ):
-            raise DomainError("eigenvalues must be sorted ascending")
-
-
 LEVEL_TOL = 1e-12  # sorted neighbours within LEVEL_TOL * max|v| form one level
 
 
-def _group_levels(values: np.ndarray) -> Spectrum:
-    """Sorted levels with multiplicities; neighbours within the window merge.
+def _group_levels(ascending: np.ndarray) -> np.ndarray:
+    """Level sizes of ascending values; neighbours within the window merge.
 
     eigvalsh rounding grows like eps * max|v|, so the window is
     LEVEL_TOL * max|v|, on the scale of the values at any magnitude.
     """
-    ordered = np.sort(values)
-    window = LEVEL_TOL * float(np.max(np.abs(ordered)))
-    starts = np.flatnonzero(np.diff(ordered, prepend=-np.inf) > window)
-    counts = np.diff(starts, append=len(ordered))
-    return Spectrum(
-        eigenvalues=tuple(ordered[starts].tolist()),
-        multiplicities=tuple(counts.tolist()),
-    )
+    window = LEVEL_TOL * float(np.max(np.abs(ascending)))
+    starts = np.flatnonzero(np.diff(ascending, prepend=-np.inf) > window)
+    return np.diff(starts, append=len(ascending))
 
 
 def _generator_column(spec: RingSpec) -> np.ndarray:
@@ -222,32 +199,40 @@ def analytic_levels(spec: RingSpec) -> np.ndarray:
 def dirac_energies(mass: float, levels: np.ndarray) -> np.ndarray:
     """Single-particle energies sqrt(m^2 + e_n^2) of the momentum levels e_n.
 
-    An energy that overflows float64 is a DomainError.
+    A row whose m^2 + e_n^2 overflows or falls below the smallest normal
+    float is recomputed with np.hypot, which scales instead of squaring;
+    every other row keeps the plain square root.  An energy above float64
+    is a DomainError.
     """
     with np.errstate(over="ignore"):
-        energies = np.sqrt(np.square(mass) + np.square(levels))
+        squares = np.square(mass) + np.square(levels)
+        energies = np.sqrt(squares)
+        edge = ~np.isfinite(squares) | (squares < np.finfo(np.float64).tiny)
+        energies[edge] = np.hypot(mass, levels[edge])
     if not np.all(np.isfinite(energies)):
         raise DomainError(
-            f"Dirac energy: m^2 + e_n^2 overflows float64 at m = {mass!r}, "
+            f"Dirac energy sqrt(m^2 + e_n^2) overflows float64 at m = {mass!r}, "
             f"max |e_n| = {float(np.max(np.abs(levels)))!r}"
         )
     return energies
 
 
-def dirac_ring_spectrum(spec: RingSpec, structure: Structure) -> Spectrum:
-    """Positive-branch Dirac energies for a spin structure on the ring.
+def ring_modes(spec: RingSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ring's modes in (level, n) order: (n, e_n, energy, multiplicity).
 
-    The twist is dictated by the structure (0 or pi); spec.twist is ignored
-    here so callers cannot desynchronize the dictionary.  The energies
-    sqrt(m^2 + e_n^2) are grouped into levels (see _group_levels), which is
-    where the degeneracy lifting between the two structures becomes visible.
+    The generator's levels (2*pi*n + twist)/L increase with n, so the i-th
+    ascending eigenvalue belongs to the i-th mode index.  The energies
+    sqrt(m^2 + e_n^2) are sorted by (energy, n) and grouped into levels
+    (see _group_levels), which is where the degeneracy lifting between the
+    two structures becomes visible; within a level the rows go by n, so
+    rounding cannot swap the rows of a degenerate pair.  The twist is
+    spec.twist; STRUCTURE_TWIST gives a structure's.
     """
-    if not isinstance(structure, Structure):
-        raise DomainError("structure must be a Structure value")
-    base = RingSpec(
-        sites=spec.sites,
-        circumference=spec.circumference,
-        twist=STRUCTURE_TWIST[structure],
-        mass=spec.mass,
-    )
-    return _group_levels(dirac_energies(spec.mass, ring_spectrum(base)))
+    levels = ring_spectrum(spec)
+    modes = mode_indices(spec)
+    energies = dirac_energies(spec.mass, levels)
+    order = np.lexsort((modes, energies))
+    sizes = _group_levels(energies[order])
+    level = np.repeat(np.arange(len(sizes)), sizes)
+    order = order[np.lexsort((modes[order], level))]
+    return modes[order], levels[order], energies[order], np.repeat(sizes, sizes)

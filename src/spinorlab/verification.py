@@ -26,8 +26,8 @@ from .lattice import (
     RingSpec,
     analytic_levels,
     dirac_energies,
-    dirac_ring_spectrum,
     mode_indices,
+    ring_modes,
     ring_spectrum,
 )
 from .sections import half_phase, map_checks, random_band_limited_section, to_standard
@@ -356,23 +356,22 @@ def lattice_checks() -> list[Check]:
         Check("quantization", ok, f"integer {errors[0]:.3g}, half-integer {errors[1]:.3g}")
     )
 
-    massive = RingSpec(sites=8, circumference=TWO_PI, twist=0.0, mass=1.0)
-    spectrum = dirac_ring_spectrum(massive, Structure.STANDARD)
-    ok = (
-        abs(spectrum.eigenvalues[0] - 1.0) <= 1e-9
-        and spectrum.multiplicities[0] == 1
-        and spectrum.multiplicities[1] == 2
-    )
-    spectrum = dirac_ring_spectrum(massive, Structure.EXOTIC)
-    ok = ok and abs(spectrum.eigenvalues[0] - math.sqrt(1.25)) <= 1e-9
-    ok = ok and spectrum.multiplicities[0] == 2
-    massless = RingSpec(sites=8, circumference=TWO_PI, twist=0.0)
-    ok = ok and abs(dirac_ring_spectrum(massless, Structure.STANDARD).eigenvalues[0]) <= 1e-12
-    exotic = dirac_ring_spectrum(massless, Structure.EXOTIC)
-    ok = ok and abs(exotic.eigenvalues[0] - 0.5) <= 1e-12
+    def ground(mass: float, structure: Structure) -> tuple[float, int, int]:
+        """The ground energy and the first two level multiplicities."""
+        twist = STRUCTURE_TWIST[structure]
+        _, _, energy, size = ring_modes(RingSpec(8, TWO_PI, twist, mass))
+        return float(energy[0]), int(size[0]), int(size[size[0]])
+
+    energy, first, second = ground(1.0, Structure.STANDARD)
+    ok = abs(energy - 1.0) <= 1e-9 and first == 1 and second == 2
+    energy, first, _ = ground(1.0, Structure.EXOTIC)
+    ok = ok and abs(energy - math.sqrt(1.25)) <= 1e-9 and first == 2
+    ok = ok and abs(ground(0.0, Structure.STANDARD)[0]) <= 1e-12
+    ok = ok and abs(ground(0.0, Structure.EXOTIC)[0] - 0.5) <= 1e-12
     checks.append(Check("degeneracy-lifting", ok, "ground multiplicity 1 vs 2"))
 
     # ascending, so E -> -E pairs the i-th lowest level with the i-th highest
+    massive = RingSpec(sites=8, circumference=TWO_PI, twist=0.0, mass=1.0)
     values = ring_spectrum(massive, first_order=False)
     sym = float(np.max(np.abs(values + values[::-1])))
     checks.append(Check("charge-symmetry", sym <= 1e-12, f"E -> -E asymmetry {sym:.3g}"))

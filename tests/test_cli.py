@@ -368,9 +368,9 @@ def test_ring_spectrum_pairs_levels_on_the_scale_of_tiny_energies(capsys, sites,
 
 def test_ring_spectrum_rejects_a_negative_count_before_the_eigensolve(capsys, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("ring_spectrum called")
+        raise AssertionError("ring_modes called")
 
-    monkeypatch.setattr(cli, "ring_spectrum", refuse)
+    monkeypatch.setattr(cli, "ring_modes", refuse)
     code, out, err = run(
         capsys, "ring-spectrum", "--sites", "2048", "--length", "1", "--count", "-1"
     )

@@ -1,8 +1,10 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinorlab.dispersion import Structure, branch_energies
@@ -10,16 +12,16 @@ from spinorlab.errors import DomainError
 from spinorlab.lattice import (
     LEVEL_TOL,
     MAX_DENSE_DIMENSION,
+    STRUCTURE_TWIST,
     RingSpec,
-    Spectrum,
     _dirac_matrix,
     _generator_column,
     _generator_matrix,
     _group_levels,
     analytic_levels,
     dirac_energies,
-    dirac_ring_spectrum,
     mode_indices,
+    ring_modes,
     ring_spectrum,
 )
 from spinorlab.sections import kernel_mode
@@ -150,9 +152,37 @@ def test_dirac_energies_are_the_closed_form_and_refuse_overflow():
         levels = rng.uniform(-50.0, 50.0, 64)
         # np.square rounds like ** 2: the same bits
         assert np.array_equal(dirac_energies(mass, levels), np.sqrt(mass**2 + levels**2))
-    for mass, levels in ((1e200, np.ones(4)), (0.0, np.array([1.0, 2e154]))):
-        with pytest.raises(DomainError, match=r"m\^2 \+ e_n\^2 overflows float64"):
-            dirac_energies(mass, levels)
+    # a square that overflows or underflows is scaled away by np.hypot
+    assert np.array_equal(dirac_energies(1e200, np.ones(4)), np.full(4, 1e200))
+    assert np.array_equal(dirac_energies(0.0, np.array([1.0, 2e154])), [1.0, 2e154])
+    assert dirac_energies(1e-200, np.array([0.0, 3e-200]))[0] == 1e-200
+    # only an energy above float64 is refused
+    with pytest.raises(DomainError, match=r"sqrt\(m\^2 \+ e_n\^2\) overflows float64"):
+        dirac_energies(1.7e308, np.array([8e307]))
+
+
+FLOAT_MAX = Decimal(sys.float_info.max)
+
+
+def _log_uniform():
+    # 2**-996 ~ 1.5e-300 up to just below the largest float, 2**1024
+    return st.floats(-996.0, 1023.99).map(lambda exponent: 2.0**exponent)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mass=_log_uniform(), level=_log_uniform(), sign=st.sampled_from([-1.0, 1.0]))
+def test_dirac_energies_match_a_decimal_reference(mass, level, sign):
+    with localcontext() as context:
+        context.prec = 60
+        reference = (Decimal(mass) ** 2 + Decimal(level) ** 2).sqrt()
+        try:
+            energy = dirac_energies(mass, np.array([sign * level]))[0]
+        except DomainError:
+            assert reference > FLOAT_MAX
+            return
+        # the plain root rounds four times and np.hypot is within one ulp
+        error = abs(Decimal(float(energy)) - reference)
+        assert error <= 2 * Decimal(np.finfo(float).eps) * reference
 
 
 def test_full_turn_shifts_every_level_by_one_mode():
@@ -173,40 +203,56 @@ def test_odd_site_count_rejected():
         RingSpec(sites=9, circumference=1.0, twist=0.0)
 
 
+def _level_starts(size):
+    """The first row of each level in ring_modes' (level, n) order."""
+    starts = [0]
+    while starts[-1] + size[starts[-1]] < len(size):
+        starts.append(starts[-1] + int(size[starts[-1]]))
+    return starts
+
+
+def _levels(spec):
+    """ring_modes' level energies and multiplicities, read from each level's first row."""
+    _, _, energy, size = ring_modes(spec)
+    starts = _level_starts(size)
+    return energy[starts], tuple(size[starts].tolist())
+
+
+def _structure_ring(sites, length, structure, mass):
+    return RingSpec(sites, length, STRUCTURE_TWIST[structure], mass)
+
+
 def test_dirac_levels_standard_structure():
-    spec = RingSpec(sites=8, circumference=TWO_PI, twist=0.0, mass=1.0)
-    spectrum = dirac_ring_spectrum(spec, Structure.STANDARD)
-    assert spectrum.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
-    assert spectrum.multiplicities[0] == 1
-    assert spectrum.eigenvalues[1] == pytest.approx(SQRT2, abs=1e-12)
-    assert spectrum.multiplicities[1] == 2
+    energies, sizes = _levels(_structure_ring(8, TWO_PI, Structure.STANDARD, 1.0))
+    assert energies[0] == pytest.approx(1.0, abs=1e-12)
+    assert sizes[0] == 1
+    assert energies[1] == pytest.approx(SQRT2, abs=1e-12)
+    assert sizes[1] == 2
 
 
 def test_dirac_levels_exotic_structure():
-    spec = RingSpec(sites=8, circumference=TWO_PI, twist=0.0, mass=1.0)
-    spectrum = dirac_ring_spectrum(spec, Structure.EXOTIC)
+    energies, sizes = _levels(_structure_ring(8, TWO_PI, Structure.EXOTIC, 1.0))
     # no momentum-zero mode: the ground level is doubly degenerate
-    assert spectrum.eigenvalues[0] == pytest.approx(SQRT125, abs=1e-12)
-    assert spectrum.multiplicities[0] == 2
-    assert spectrum.eigenvalues[1] == pytest.approx(math.sqrt(3.25), abs=1e-12)
-    assert spectrum.multiplicities[1] == 2
+    assert energies[0] == pytest.approx(SQRT125, abs=1e-12)
+    assert sizes[0] == 2
+    assert energies[1] == pytest.approx(math.sqrt(3.25), abs=1e-12)
+    assert sizes[1] == 2
 
 
 @pytest.mark.parametrize("structure", [Structure.STANDARD, Structure.EXOTIC])
 def test_dirac_levels_keep_degeneracy_at_large_momenta(structure):
     # |e_n| reaches 2*pi*512, where eigvalsh rounding exceeds an absolute 1e-12
-    spec = RingSpec(sites=1024, circumference=1.0, twist=0.0, mass=0.5)
-    spectrum = dirac_ring_spectrum(spec, structure)
+    _, sizes = _levels(_structure_ring(1024, 1.0, structure, 0.5))
     if structure is Structure.STANDARD:
         # n = 0 and n = -512 are single; n and -n pair up for 0 < n < 512
-        assert spectrum.multiplicities == (1,) + (2,) * 511 + (1,)
+        assert sizes == (1,) + (2,) * 511 + (1,)
     else:
         # n and -n - 1 pair up for every mode
-        assert spectrum.multiplicities == (2,) * 512
+        assert sizes == (2,) * 512
 
 
 def _level_split(values):
-    return _group_levels(np.array(values)).multiplicities
+    return tuple(_group_levels(np.sort(values)).tolist())
 
 
 def _group_levels_loop(values, window):
@@ -218,7 +264,7 @@ def _group_levels_loop(values, window):
         else:
             levels.append(float(value))
             counts.append(1)
-    return Spectrum(eigenvalues=tuple(levels), multiplicities=tuple(counts))
+    return tuple(counts)
 
 
 def test_group_levels_matches_loop_at_unit_scale():
@@ -226,7 +272,7 @@ def test_group_levels_matches_loop_at_unit_scale():
     base = rng.uniform(-1.0, 1.0, 200)
     values = np.concatenate([base, base[:80] + rng.uniform(-4e-13, 4e-13, 80)])
     window = LEVEL_TOL * np.max(np.abs(values))
-    assert _group_levels(values) == _group_levels_loop(values, window)
+    assert _level_split(values) == _group_levels_loop(values, window)
 
 
 def test_group_levels_window_scales_with_largest_value():
@@ -244,11 +290,10 @@ def test_group_levels_window_scales_with_largest_value():
 
 
 def test_massless_exotic_gap():
-    spec = RingSpec(sites=8, circumference=TWO_PI, twist=0.0, mass=0.0)
-    standard = dirac_ring_spectrum(spec, Structure.STANDARD)
-    exotic = dirac_ring_spectrum(spec, Structure.EXOTIC)
-    assert standard.eigenvalues[0] == pytest.approx(0.0, abs=1e-12)
-    assert exotic.eigenvalues[0] == pytest.approx(0.5, abs=1e-12)
+    standard, _ = _levels(_structure_ring(8, TWO_PI, Structure.STANDARD, 0.0))
+    exotic, _ = _levels(_structure_ring(8, TWO_PI, Structure.EXOTIC, 0.0))
+    assert standard[0] == pytest.approx(0.0, abs=1e-12)
+    assert exotic[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_second_order_spectrum_is_charge_symmetric():
@@ -261,10 +306,12 @@ def test_second_order_spectrum_is_charge_symmetric():
 def test_positive_branch_agrees_with_dictionary():
     spec = RingSpec(sites=8, circumference=TWO_PI, twist=math.pi, mass=0.9)
     full = ring_spectrum(spec, first_order=False)
-    positive = _group_levels(full[full > 0.0])
-    exotic = dirac_ring_spectrum(spec, Structure.EXOTIC)
-    assert positive.multiplicities == exotic.multiplicities
-    assert np.max(np.abs(np.subtract(positive.eigenvalues, exotic.eigenvalues))) <= 1e-10
+    positive = full[full > 0.0]
+    sizes = _group_levels(positive)
+    energies, exotic_sizes = _levels(spec)
+    assert tuple(sizes.tolist()) == exotic_sizes
+    starts = np.r_[0, np.cumsum(sizes[:-1])]
+    assert np.max(np.abs(positive[starts] - energies)) <= 1e-10
 
 
 @settings(max_examples=60, deadline=None)
@@ -295,10 +342,37 @@ def test_one_winding_shift_dictionary_for_three_conventions(data):
     assert np.max(np.abs(np.array(kernel) - closed)) <= bound
 
 
-def test_spectrum_validation():
-    with pytest.raises(DomainError):
-        Spectrum(eigenvalues=(1.0, 0.5), multiplicities=(1, 1))
-    with pytest.raises(DomainError):
-        Spectrum(eigenvalues=(0.5,), multiplicities=(0,))
-    with pytest.raises(DomainError):
-        Spectrum(eigenvalues=(0.5,), multiplicities=(1, 1))
+
+@settings(max_examples=150, deadline=None)
+@given(
+    half=st.integers(2, 128),
+    length=st.floats(-12.0, 15.0).map(lambda exponent: 10.0**exponent),
+    mass_scale=st.one_of(st.just(0.0), st.floats(-3.0, 5.0).map(lambda e: 10.0**e)),
+    twist=st.one_of(st.integers(-3, 3).map(lambda k: k * math.pi), st.floats(-10.0, 10.0)),
+)
+def test_levels_hold_exactly_the_analytic_partners(half, length, mass_scale, twist):
+    # at twist k*pi, |e_n| = |e_{-n-k}|: a level is {n, -n - k} inside the
+    # mode range, or n alone; any other twist pairs no modes
+    k = round(twist / math.pi)
+    if twist != k * math.pi:
+        k = None
+    mass = mass_scale / length  # the mass on the scale of the levels 2*pi*n/L
+    spec = RingSpec(2 * half, length, twist, mass)
+    modes = mode_indices(spec).tolist()
+
+    def partners(n):
+        return {n, -n - k} & set(modes) if k is not None else {n}
+
+    analytic = np.hypot(mass, (TWO_PI * np.array(modes) + twist) / length)
+    distinct = np.sort([e for n, e in zip(modes, analytic) if n == min(partners(n))])
+    # distinct analytic levels closer than eigvalsh can resolve at this
+    # window (a twist near k*pi, or a mass that dwarfs the momenta) merge by
+    # rounding, not by a fault, so those draws say nothing
+    window = LEVEL_TOL * float(np.max(analytic))
+    assume(np.all(np.diff(distinct) > 100 * window))
+    n, _, energy, size = ring_modes(spec)
+    assert np.all(np.diff(energy[_level_starts(size)]) > 0)
+    for start in _level_starts(size):
+        level = n[start : start + size[start]]
+        assert np.all(size[start : start + size[start]] == size[start])
+        assert set(level.tolist()) == partners(int(level[0]))

@@ -47,11 +47,10 @@ def test_one_dispersion_api_and_an_oracle_only_lattice():
     assert "ModeSpec" not in spinorlab.__all__
     assert _defined_here(lattice) == {
         "RingSpec",
-        "Spectrum",
         "analytic_levels",
         "dirac_energies",
-        "dirac_ring_spectrum",
         "mode_indices",
+        "ring_modes",
         "ring_spectrum",
     }
 

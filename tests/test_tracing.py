@@ -5,7 +5,8 @@ of each layer and ModeSpec.__init__.  Building it here and tracing one
 verify call makes a deleted or renamed binding fail in the test suite.
 Some per-layer metrics read the totals under a function's name, where a
 renamed function reads 0 without an error; tracing one map-check call
-pins the names those sections metrics read.
+and one ring-spectrum call pins the names the sections and lattice
+metrics read.
 """
 
 from pathlib import Path
@@ -45,4 +46,12 @@ def test_tracer_sees_the_sections_functions_its_metrics_read(monkeypatch, capsys
     assert code == 0
     names = [f"sections.{name}" for name in tracing.RESIDUALS]
     for name in names + ["sections.random_band_limited_section"]:
+        assert tracer.calls[name] > 0, f"{name} never called"
+
+
+def test_tracer_sees_the_lattice_functions_its_metrics_read(monkeypatch, capsys):
+    _, tracer, code = _traced(monkeypatch, ["ring-spectrum", "--sites", "16", "--length", "1"])
+    capsys.readouterr()
+    assert code == 0
+    for name in ("lattice.ring_spectrum", "lattice.eigvalsh"):
         assert tracer.calls[name] > 0, f"{name} never called"
