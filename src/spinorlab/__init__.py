@@ -12,8 +12,6 @@ tables governing how structure-preference labels combine.
 from .chains import (
     ChainEvent,
     ChainStep,
-    PreferenceContext,
-    build_context,
     run_chain,
     select_table,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "FiniteMagma",
     "HalfWindingPhase",
     "Preference",
-    "PreferenceContext",
     "RingSpec",
     "SampledSection",
     "Structure",
@@ -72,7 +69,6 @@ __all__ = [
     "WindingGradient",
     "analyze",
     "branch_energies",
-    "build_context",
     "build_theta",
     "builtin",
     "commutation_residual",

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chains import ChainEvent, build_context, run_chain, select_table
+from .chains import PREFERENCE_TABLE, ChainEvent, run_chain, select_table
 from .dispersion import (
     Branch,
     Structure,
@@ -206,14 +206,19 @@ def _parse_vector(text: str, dims: int, flag: str) -> np.ndarray:
         raise DomainError(f"{flag} expects numbers, got {text!r}") from None
 
 
+def _read_text(path: str, what: str) -> str:
+    """The text of a file; one that cannot be read is a DomainError naming what."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise DomainError(f"cannot read {what}: {exc}") from None
+
+
 def _load_config(path: str | None) -> dict[str, float]:
     """Read 'key = value' lines; keys: scale, tol."""
     if path is None:
         return {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DomainError(f"cannot read config {path!r}: {exc}") from None
+    text = _read_text(path, f"config {path!r}")
     values: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -252,6 +257,15 @@ def _field_from_options(options: dict) -> WindingGradient:
     # holonomy consistent with a unit-circumference generating ramp; only
     # k and scale enter the dispersion formulas
     return WindingGradient(k=k, holonomy=float(k[2]), scale=scale)
+
+
+def _preference_inputs(options: dict) -> tuple[np.ndarray, WindingGradient, float]:
+    """--p, the field and the degeneracy tol: flag, then config, then the default."""
+    momentum = _parse_vector(options["p"], 3, "--p")
+    field = _field_from_options(options)
+    tol = _resolve(options, "tol", None)
+    tol = float(tol) if tol is not None else default_degeneracy_tol(momentum)
+    return momentum, field, tol
 
 
 def _run_dispersion(options: dict) -> Report:
@@ -350,12 +364,8 @@ def _run_sweep(options: dict) -> Report:
 
 
 def _run_preference(options: dict) -> Report:
-    momentum = _parse_vector(options["p"], 3, "--p")
-    field = _field_from_options(options)
-    tol = _resolve(options, "tol", None)
-    tol = float(tol) if tol is not None else default_degeneracy_tol(momentum)
+    momentum, field, tol = _preference_inputs(options)
     preference = preferred_branch(field, momentum, tol)
-    table = select_table(field, momentum, tol)
     parameters = {
         "p": options["p"],
         "k": options["k"],
@@ -365,7 +375,7 @@ def _run_preference(options: dict) -> Report:
     fields = {
         "signed_shift": signed_shift(field, momentum),
         "preference": preference.value,
-        "table": table,
+        "table": PREFERENCE_TABLE[preference],
     }
     return Report("preference", parameters, fields)
 
@@ -413,11 +423,7 @@ def _run_map_check(options: dict) -> Report:
     rng = np.random.default_rng(seed)
     sections = []
     if options.get("section_file"):
-        try:
-            text = Path(options["section_file"]).read_text()
-        except OSError as exc:
-            raise DomainError(f"cannot read section file: {exc}") from None
-        sections.append(section_from_json(text))
+        sections.append(section_from_json(_read_text(options["section_file"], "section file")))
     sections.extend(
         random_band_limited_section(sites, length, rng) for _ in range(draws)
     )
@@ -455,11 +461,7 @@ def _magma_from_options(options: dict) -> FiniteMagma:
         raise DomainError("give exactly one of --table or --table-file")
     if name is not None:
         return builtin(name)
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DomainError(f"cannot read table file: {exc}") from None
-    return from_json(text)
+    return from_json(_read_text(path, "table file"))
 
 
 def _run_algebra_analyze(options: dict) -> Report:
@@ -488,17 +490,10 @@ def _run_algebra_compose(options: dict) -> Report:
 
 
 def _run_algebra_chain(options: dict) -> Report:
-    momentum = _parse_vector(options["p"], 3, "--p")
-    field = _field_from_options(options)
-    tol = _resolve(options, "tol", None)
-    tol = float(tol) if tol is not None else None
-    context = build_context(field, momentum, tol)
+    momentum, field, tol = _preference_inputs(options)
+    table = select_table(field, momentum, tol)
     try:
-        text = Path(options["events"]).read_text()
-    except OSError as exc:
-        raise DomainError(f"cannot read events file: {exc}") from None
-    try:
-        raw = json.loads(text)
+        raw = json.loads(_read_text(options["events"], "events file"))
     except json.JSONDecodeError as exc:
         raise DomainError(f"invalid events JSON: {exc}") from None
     if not isinstance(raw, list):
@@ -513,17 +508,17 @@ def _run_algebra_chain(options: dict) -> Report:
                 involute_first=bool(item.get("involute", False)),
             )
         )
-    final, trace = run_chain(options["initial"], events, context)
+    final, trace = run_chain(options["initial"], events, table)
     parameters = {
         "p": options["p"],
         "k": options["k"],
         "scale": field.scale,
-        "tol": context.tol,
+        "tol": tol,
         "initial": options["initial"],
         "events": options["events"],
     }
     fields = {
-        "initial_table": context.active_table,
+        "initial_table": table,
         "final": final,
         "trace": Table(("step", "table", "state"), [(s.step, s.table, s.state) for s in trace]),
     }

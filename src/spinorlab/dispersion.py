@@ -190,9 +190,13 @@ def branch_energies(
 
 @np.errstate(**_QUIET)
 def signed_shift(field: WindingGradient, momentum: np.ndarray) -> float:
-    """s*(k.p) for one 3-momentum; rejected by name if it overflows float64."""
-    momenta = np.asarray(momentum, dtype=float)[None, :]
-    return float(_signed(momenta, field.k, field.scale)[0])
+    """s*(k.p) for one finite 3-momentum; rejected by name if it overflows float64."""
+    momentum = np.asarray(momentum, dtype=float)
+    if momentum.shape != (3,):
+        raise DomainError("momentum must be a 3-vector")
+    if not np.all(np.isfinite(momentum)):
+        raise DomainError("momentum must be finite")
+    return float(_signed(momentum[None, :], field.k, field.scale)[0])
 
 
 @np.errstate(**_QUIET)
@@ -224,7 +228,6 @@ def preferred_branch(
     minus, anything in between is degenerate.  tol must be positive; when
     omitted it defaults to the scale-aware threshold.
     """
-    momentum = np.asarray(momentum, dtype=float)
     if tol is None:
         tol = default_degeneracy_tol(momentum)
     if tol <= 0.0 or not math.isfinite(tol):

@@ -197,6 +197,11 @@ def _shift(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
     return multiplier[:, None] * (values @ GAMMA3.T)
 
 
+def _check_mass(mass: float) -> None:
+    if mass < 0.0 or not math.isfinite(mass):
+        raise DomainError("mass must be finite and non-negative")
+
+
 def dirac(
     section: SampledSection,
     mass: float,
@@ -208,8 +213,7 @@ def dirac(
     multiplier holds one pointwise factor per site: -(s/2)*theta' gives
     D_plus at scale s, and its negation D_minus (see module docstring).
     """
-    if mass < 0.0 or not math.isfinite(mass):
-        raise DomainError("mass must be finite and non-negative")
+    _check_mass(mass)
     if multiplier is not None:
         multiplier = np.asarray(multiplier)
         if multiplier.shape != (section.sites,):
@@ -356,9 +360,10 @@ def kernel_mode(
     its norm, sqrt(2E(E + m)), is the largest of the four columns'.  At
     E = m = 0 the projector vanishes and every spinor is in the kernel, so
     the spinor is e_0.  Applying D_plus at that energy annihilates the
-    section up to rounding.  An energy that overflows float64 is a
-    DomainError.
+    section up to rounding.  A mass that is negative or not finite, and an
+    energy that overflows float64, are a DomainError.
     """
+    _check_mass(mass)
     q = 2.0 * math.pi * harmonic / theta.circumference
     k3 = float(np.mean(pointwise_gradient(theta)))
     q_eff = q + 0.5 * scale * k3

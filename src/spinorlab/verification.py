@@ -246,9 +246,9 @@ def chains_checks() -> list[Check]:
     momentum = np.array([0.0, 0.0, 0.5])
     dot = magma.DOT
 
-    ctx = chains.build_context(up, momentum)
+    table = chains.select_table(up, momentum)
     final, trace = chains.run_chain(
-        f"({dot},ab)", [chains.ChainEvent("(b,a)")], ctx
+        f"({dot},ab)", [chains.ChainEvent("(b,a)")], table
     )
     checks.append(
         Check(
@@ -259,7 +259,7 @@ def chains_checks() -> list[Check]:
     )
 
     final, trace = chains.run_chain(
-        "(a,b)", [chains.ChainEvent("(a,b)", involute_first=True)], ctx
+        "(a,b)", [chains.ChainEvent("(a,b)", involute_first=True)], table
     )
     ok = final == "(a,b)" and trace[0].table == "prefer_exotic"
     checks.append(Check("chain-involution-swap", ok, f"table {trace[0].table}"))
@@ -268,14 +268,14 @@ def chains_checks() -> list[Check]:
         "(a,b)",
         [chains.ChainEvent("(b,a)", involute_first=True),
          chains.ChainEvent("(b,a)", involute_first=True)],
-        ctx,
+        table,
     )
     ok = trace[0].table == "prefer_exotic" and trace[1].table == "prefer_standard"
     restored = involuted(involuted(up))
     ok = ok and np.array_equal(restored.k, up.k) and restored.holonomy == up.holonomy
     checks.append(Check("chain-double-involution", ok, "two flips restore the table"))
 
-    perp = chains.build_context(up, np.array([1.0, 0.0, 0.0]))
+    perp = chains.select_table(up, np.array([1.0, 0.0, 0.0]))
     final, _ = chains.run_chain(
         "S", [chains.ChainEvent("C"), chains.ChainEvent("C")], perp
     )
@@ -305,7 +305,7 @@ def chains_checks() -> list[Check]:
         final, trace = chains.run_chain(
             "(a,b)",
             [chains.ChainEvent(operand) for operand in operands],
-            chains.build_context(field, momentum),
+            chains.select_table(field, momentum),
         )
         ok = ok and final == absorber and all(step.state == absorber for step in trace)
     checks.append(

@@ -124,15 +124,11 @@ def gradient_field(theta: ThetaField, scale: float = 1.0) -> WindingGradient:
 
     The gradient is sampled as wrapped forward differences over the grid
     spacing and the holonomy is its trapezoidal loop integral, which for the
-    uniform periodic grid is exactly the sum of wrapped increments.  For any
-    valid field this lands within 1e-10*(1+|w|) of 2*pi*w; for w = 0 ramps
-    it is exactly 0.0.
+    uniform periodic grid is exactly the sum of wrapped increments, which
+    ThetaField holds to 2*pi*w within 1e-9*(1+|w|) (they telescope, so only
+    rounding separates them); for w = 0 ramps it is exactly 0.0.
     """
-    increments = circuit_increments(theta.samples)
-    holonomy = float(np.sum(increments))
-    target = TWO_PI * theta.winding
-    if abs(holonomy - target) > 1e-10 * (1.0 + abs(theta.winding)):
-        raise DomainError("holonomy quadrature inconsistent with winding")
+    holonomy = float(np.sum(circuit_increments(theta.samples)))
     k_ring = holonomy / theta.circumference
     return WindingGradient(
         k=np.array([0.0, 0.0, k_ring]), holonomy=holonomy, scale=float(scale)

@@ -16,6 +16,7 @@ from spinorlab.dispersion import (
     branch_energies,
     default_degeneracy_tol,
     preferred_branch,
+    signed_shift,
 )
 from spinorlab.errors import DomainError
 from spinorlab.winding import WindingGradient
@@ -155,6 +156,19 @@ def test_default_tol_of_a_batch_is_its_rows():
 def test_default_tol_rejects_other_shapes(shape):
     with pytest.raises(DomainError, match=re.escape(f"not shape {shape}")):
         default_degeneracy_tol(np.ones(shape))
+
+
+@pytest.mark.parametrize(
+    "momentum, message",
+    [((math.nan, 0.0, 0.0), "momentum must be finite"), ((1.0, 2.0), "momentum must be a 3-vector")],
+)
+def test_signed_shift_refuses_a_momentum_that_is_not_a_finite_3_vector(momentum, message):
+    # with an explicit tol, preferred_branch reaches signed_shift before any
+    # other check of the momentum
+    with pytest.raises(DomainError, match=message):
+        preferred_branch(FIELD, np.array(momentum), tol=1e-9)
+    with pytest.raises(DomainError, match=message):
+        signed_shift(FIELD, np.array(momentum))
 
 
 def test_mode_spec_rejects_bad_input():

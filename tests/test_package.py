@@ -1,7 +1,7 @@
 import inspect
 
 import spinorlab
-from spinorlab import dispersion, lattice, sections
+from spinorlab import chains, dispersion, lattice, sections
 
 
 def _defined_here(module) -> set[str]:
@@ -53,6 +53,13 @@ def test_one_dispersion_api_and_an_oracle_only_lattice():
         "ring_modes",
         "ring_spectrum",
     }
+
+
+def test_chains_holds_no_context_type():
+    # an involution mirrors the active table, so no type carries a field,
+    # momentum and tol to re-derive it
+    assert _defined_here(chains) == {"ChainEvent", "ChainStep", "run_chain", "select_table"}
+    assert not {"PreferenceContext", "build_context"} & set(spinorlab.__all__)
 
 
 def test_sections_exports_one_bound_list():

@@ -315,6 +315,12 @@ def test_kernel_mode_energy_overflow_is_a_domain_error(mass, scale):
         kernel_mode(_theta(w=2), mass, 1, scale)
 
 
+@pytest.mark.parametrize("mass", [math.nan, math.inf, -1.0])
+def test_kernel_mode_refuses_the_mass_dirac_refuses(mass):
+    with pytest.raises(DomainError, match="mass must be finite and non-negative"):
+        kernel_mode(_theta(w=2), mass, 1)
+
+
 @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
 def test_map_checks_reject_a_tol_that_is_not_positive_and_finite(tol):
     with pytest.raises(DomainError, match="tol must be positive and finite"):
