@@ -22,7 +22,7 @@ import json
 import math
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -253,7 +253,7 @@ def _resolve(options: dict, key: str, fallback):
 
 def _field_from_options(options: dict) -> WindingGradient:
     k = _parse_vector(options["k"], 3, "--k")
-    scale = float(_resolve(options, "scale", 1.0))
+    scale = _resolve(options, "scale", 1.0)
     # holonomy consistent with a unit-circumference generating ramp; only
     # k and scale enter the dispersion formulas
     return WindingGradient(k=k, holonomy=float(k[2]), scale=scale)
@@ -264,15 +264,16 @@ def _preference_inputs(options: dict) -> tuple[np.ndarray, WindingGradient, floa
     momentum = _parse_vector(options["p"], 3, "--p")
     field = _field_from_options(options)
     tol = _resolve(options, "tol", None)
-    tol = float(tol) if tol is not None else default_degeneracy_tol(momentum)
+    if tol is None:
+        tol = default_degeneracy_tol(momentum)
     return momentum, field, tol
 
 
 def _run_dispersion(options: dict) -> Report:
-    mass = float(options["m"])
+    mass = options["m"]
     momentum = _parse_vector(options["p"], 3, "--p")
     field = _field_from_options(options)
-    formula = options.get("formula") or "both"
+    formula = options["formula"]
     parameters = {
         "m": mass,
         "p": options["p"],
@@ -315,11 +316,11 @@ def _run_dispersion(options: dict) -> Report:
 
 
 def _run_sweep(options: dict) -> Report:
-    mass = float(options["m"])
+    mass = options["m"]
     field = _field_from_options(options)
-    p_transverse = _parse_vector(options.get("p_transverse") or "0,0", 2, "--p-transverse")
-    start, stop = float(options["p3_min"]), float(options["p3_max"])
-    count = int(options["count"])
+    p_transverse = _parse_vector(options["p_transverse"], 2, "--p-transverse")
+    start, stop = options["p3_min"], options["p3_max"]
+    count = options["count"]
     if count < 0:
         raise DomainError("--count must be non-negative")
     if not (math.isfinite(start) and math.isfinite(stop)):
@@ -330,7 +331,7 @@ def _run_sweep(options: dict) -> Report:
         "m": mass,
         "k": options["k"],
         "scale": field.scale,
-        "p_transverse": options.get("p_transverse") or "0,0",
+        "p_transverse": options["p_transverse"],
         "p3_min": start,
         "p3_max": stop,
         "count": count,
@@ -381,23 +382,21 @@ def _run_preference(options: dict) -> Report:
 
 
 def _run_ring_spectrum(options: dict) -> Report:
-    sites = int(options["sites"])
-    length = float(options["length"])
-    mass = float(options["m"])
-    twist_flag = options.get("twist")
-    structure_flag = options.get("structure")
-    if twist_flag is not None and structure_flag is not None:
+    sites = options["sites"]
+    length = options["length"]
+    mass = options["m"]
+    twist = options["twist"]
+    structure = options["structure"]
+    count = options["count"]
+    if twist is not None and structure is not None:
         raise DomainError("give either --twist or --structure, not both")
-    if twist_flag is not None:
-        twist = float(twist_flag)
-    else:
-        twist = STRUCTURE_TWIST[Structure(structure_flag or "standard")]
-    count = options.get("count")
-    if count is not None and int(count) < 0:
+    if twist is None:
+        # --structure defaults to None so that the check above sees it unset
+        twist = STRUCTURE_TWIST[Structure(structure or "standard")]
+    if count is not None and count < 0:
         raise DomainError("--count must be non-negative")
     spec = RingSpec(sites=sites, circumference=length, twist=twist, mass=mass)
-    limit = int(count) if count is not None else None
-    rows = list(zip(*(column[:limit].tolist() for column in ring_modes(spec))))
+    rows = list(zip(*(column[:count].tolist() for column in ring_modes(spec))))
     parameters = {
         "sites": sites,
         "length": length,
@@ -410,14 +409,18 @@ def _run_ring_spectrum(options: dict) -> Report:
 
 
 def _run_map_check(options: dict) -> Report:
-    sites = int(options["sites"])
-    length = float(options["length"])
-    winding = int(options["winding"])
-    mass = float(options["m"])
-    scale = float(_resolve(options, "scale", 1.0))
+    sites = options["sites"]
+    length = options["length"]
+    winding = options["winding"]
+    mass = options["m"]
+    draws = options["sections"]
+    seed = options["seed"]
+    if draws < 0:
+        raise DomainError("--sections must be non-negative")
+    if seed < 0:
+        raise DomainError("--seed must be non-negative")
+    scale = _resolve(options, "scale", 1.0)
     tol = _resolve(options, "tol", None)
-    draws = int(options["sections"])
-    seed = int(options["seed"])
 
     theta = build_theta(sites, length, winding)
     rng = np.random.default_rng(seed)
@@ -466,19 +469,9 @@ def _magma_from_options(options: dict) -> FiniteMagma:
 
 def _run_algebra_analyze(options: dict) -> Report:
     magma_obj = _magma_from_options(options)
-    report = analyze(magma_obj)
-    # tuples render as JSON arrays in both formats
-    fields = {
-        "name": magma_obj.name,
-        "carrier": magma_obj.carrier,
-        "table": magma_obj.table,
-        "identities": report.identities,
-        "absorbers": report.absorbers,
-        "commutativity_violations": report.commutativity_violations,
-        "associativity_violations": report.associativity_violations,
-        "associativity_witness": report.associativity_witness,
-        "is_group": report.is_group,
-    }
+    # the magma's fields, then the structure report's, each in declared
+    # order; tuples render as JSON arrays in both formats
+    fields = {**vars(magma_obj), **vars(analyze(magma_obj))}
     return Report("algebra analyze", {"table": magma_obj.name}, fields)
 
 
@@ -526,34 +519,31 @@ def _run_algebra_chain(options: dict) -> Report:
 
 
 def _run_verify(options: dict) -> Report:
-    suite = options.get("suite") or "all"
+    suite = options["suite"]
     rows = [(check.name, bool(check.passed), check.detail) for check in run_suite(suite)]
     failed = sum(1 for _, passed, _ in rows if not passed)
     fields = {"checks": Table(("name", "passed", "detail"), rows), "failed": failed}
     return Report("verify", {"suite": suite}, fields, exit_code=0 if failed == 0 else 1)
 
 
-_RUNNERS = {
-    "dispersion": _run_dispersion,
-    "sweep": _run_sweep,
-    "preference": _run_preference,
-    "ring-spectrum": _run_ring_spectrum,
-    "map-check": _run_map_check,
-    "algebra analyze": _run_algebra_analyze,
-    "algebra compose": _run_algebra_compose,
-    "algebra chain": _run_algebra_chain,
-    "verify": _run_verify,
-}
-
-
-def run_command(command: str, options: dict) -> Report:
-    if command not in _RUNNERS:
-        raise DomainError(f"unknown command {command!r}")
+def run_command(run: Callable[[dict], Report], options: dict) -> Report:
+    """The Report of the runner build_parser names for the command, on its options."""
     # a copy, so that the config values _resolve keeps stay with this command
-    return _RUNNERS[command](dict(options))
+    return run(dict(options))
 
 
-def _add_common(parser: argparse.ArgumentParser, default_format: str) -> None:
+def _add_momentum_field(parser: argparse.ArgumentParser, tol: bool) -> None:
+    """--p, --k and --scale, then --tol where the command takes one."""
+    parser.add_argument("--p", required=True, help="momentum as x,y,z")
+    parser.add_argument("--k", required=True, help="winding gradient as x,y,z")
+    parser.add_argument("--scale", type=float, default=None)
+    if tol:
+        parser.add_argument("--tol", type=float, default=None)
+
+
+def _add_common(parser: argparse.ArgumentParser, default_format: str, run) -> None:
+    """The output flags every command takes, and the runner its options go to."""
+    parser.set_defaults(run=run)
     parser.add_argument("--format", choices=("csv", "json"), default=default_format)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--config", default=None, help="key = value file for scale/tol")
@@ -573,28 +563,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dispersion", help="branch energies at one momentum")
     p.add_argument("--m", type=float, required=True)
-    p.add_argument("--p", required=True, help="momentum as x,y,z")
-    p.add_argument("--k", required=True, help="winding gradient as x,y,z")
-    p.add_argument("--scale", type=float, default=None)
+    _add_momentum_field(p, tol=False)
     p.add_argument("--formula", choices=("semiclassical", "exact", "both"), default="both")
-    _add_common(p, "csv")
+    _add_common(p, "csv", _run_dispersion)
 
     p = sub.add_parser("sweep", help="branch energies over a ring-momentum range")
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--k", required=True, help="winding gradient as x,y,z")
-    p.add_argument("--p-transverse", dest="p_transverse", default=None, help="px,py")
+    p.add_argument("--p-transverse", dest="p_transverse", default="0,0", help="px,py")
     p.add_argument("--p3-min", dest="p3_min", type=float, required=True)
     p.add_argument("--p3-max", dest="p3_max", type=float, required=True)
     p.add_argument("--count", type=int, required=True, help="number of sample points")
     p.add_argument("--scale", type=float, default=None)
-    _add_common(p, "csv")
+    _add_common(p, "csv", _run_sweep)
 
     p = sub.add_parser("preference", help="which branch the field sign prefers")
-    p.add_argument("--p", required=True, help="momentum as x,y,z")
-    p.add_argument("--k", required=True, help="winding gradient as x,y,z")
-    p.add_argument("--scale", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    _add_common(p, "json")
+    _add_momentum_field(p, tol=True)
+    _add_common(p, "json", _run_preference)
 
     p = sub.add_parser("ring-spectrum", help="twisted ring levels and multiplicities")
     p.add_argument("--sites", type=int, required=True)
@@ -603,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--twist", type=float, default=None)
     p.add_argument("--structure", choices=("standard", "exotic"), default=None)
     p.add_argument("--count", type=int, default=None, help="emit only this many rows")
-    _add_common(p, "csv")
+    _add_common(p, "csv", _run_ring_spectrum)
 
     p = sub.add_parser("map-check", help="residuals of the half-phase operator identities")
     p.add_argument("--sites", type=int, default=64)
@@ -615,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--section-file", dest="section_file", default=None)
-    _add_common(p, "json")
+    _add_common(p, "json", _run_map_check)
 
     algebra = sub.add_parser("algebra", help="finite composition tables")
     algebra_sub = algebra.add_subparsers(dest="subcommand", required=True)
@@ -623,23 +608,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = algebra_sub.add_parser("analyze", help="exhaustive structure report")
     p.add_argument("--table", choices=BUILTIN_NAMES, default=None)
     p.add_argument("--table-file", dest="table_file", default=None, help="magma JSON file")
-    _add_common(p, "json")
+    _add_common(p, "json", _run_algebra_analyze)
 
     p = algebra_sub.add_parser("compose", help="one table lookup")
     p.add_argument("--table", choices=BUILTIN_NAMES, default=None)
     p.add_argument("--table-file", dest="table_file", default=None)
     p.add_argument("left")
     p.add_argument("right")
-    _add_common(p, "json")
+    _add_common(p, "json", _run_algebra_compose)
 
     p = algebra_sub.add_parser("chain", help="evaluate an event chain")
     p.add_argument("--events", required=True, help="JSON list of {operand, involute}")
     p.add_argument("--initial", required=True)
-    p.add_argument("--p", required=True, help="momentum as x,y,z")
-    p.add_argument("--k", required=True, help="winding gradient as x,y,z")
-    p.add_argument("--scale", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    _add_common(p, "json")
+    _add_momentum_field(p, tol=True)
+    _add_common(p, "json", _run_algebra_chain)
 
     p = sub.add_parser("verify", help="run invariant suites")
     p.add_argument(
@@ -647,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("all", *SUITES),
         default="all",
     )
-    _add_common(p, "json")
+    _add_common(p, "json", _run_verify)
     return parser
 
 
@@ -675,19 +657,16 @@ def main(argv: list[str] | None = None) -> int:
     stages = _Stages()
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        options = vars(parser.parse_args(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    options = vars(args).copy()
-    command = options.pop("command")
-    if "subcommand" in options:
-        command = f"{command} {options.pop('subcommand')}"
+    run = options.pop("run")
     fmt = options.pop("format")
     destination = options.pop("out")
     timing = options.pop("timing")
     stages.mark("parse")
     try:
-        report = run_command(command, options)
+        report = run_command(run, options)
         stages.mark("compute")
         emit(report, fmt, destination, stages.mark)
     except (DomainError, OSError) as exc:

@@ -360,10 +360,13 @@ def kernel_mode(
     its norm, sqrt(2E(E + m)), is the largest of the four columns'.  At
     E = m = 0 the projector vanishes and every spinor is in the kernel, so
     the spinor is e_0.  Applying D_plus at that energy annihilates the
-    section up to rounding.  A mass that is negative or not finite, and an
-    energy that overflows float64, are a DomainError.
+    section up to rounding.  A mass that is negative or not finite, a scale
+    that is not finite, and an energy that overflows float64, are a
+    DomainError.
     """
     _check_mass(mass)
+    if not math.isfinite(scale):
+        raise DomainError("scale must be finite")
     q = 2.0 * math.pi * harmonic / theta.circumference
     k3 = float(np.mean(pointwise_gradient(theta)))
     q_eff = q + 0.5 * scale * k3

@@ -321,6 +321,12 @@ def test_kernel_mode_refuses_the_mass_dirac_refuses(mass):
         kernel_mode(_theta(w=2), mass, 1)
 
 
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+def test_kernel_mode_refuses_a_scale_that_is_not_finite(scale):
+    with pytest.raises(DomainError, match="scale must be finite"):
+        kernel_mode(_theta(w=2), 1.0, 1, scale)
+
+
 @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
 def test_map_checks_reject_a_tol_that_is_not_positive_and_finite(tol):
     with pytest.raises(DomainError, match="tol must be positive and finite"):
