@@ -5,7 +5,11 @@ algebra (analyze | compose | chain), verify.  Every command returns one
 Report, rendered as CSV (parameters echoed as leading comment lines, then
 the single-valued fields as one header line and one row, then each table;
 floats to 12 significant digits, cells quoted per RFC 4180) or JSON (fixed
-key order, round-trip-exact floats, a table as one object per row).
+key order, round-trip-exact floats, a table as one object per row).  A
+table is one list per column from the runner to the renderer, which zips
+the columns into rows only as it prints them.  Only the commands that read
+a --config file take the flag: dispersion, sweep, preference, map-check
+and algebra chain.
 Identical invocations produce byte-identical output; with --timing, the
 parse, compute, render and write stages are timed and written to stderr
 only, one JSON line each.
@@ -48,16 +52,18 @@ from .winding import TWO_PI, WindingGradient, build_theta
 
 @dataclass(frozen=True)
 class Table:
-    """Rows under a header: a CSV block, or in JSON one object per row.
+    """Columns under a header: a CSV block, or in JSON one object per row.
 
-    Each renderer prints the rows through one %-template per table, built
-    from the header and the kind of each column (see columns).
+    columns holds one sequence of Python values per header name, all of one
+    length (a numpy column goes in as .tolist(): a numpy scalar would print
+    as its repr).  Each renderer zips the columns through one %-template
+    per table, built from the header and each column's kind (conversions).
     """
 
     header: tuple[str, ...]
-    rows: Sequence[Sequence]
+    columns: Sequence[Sequence]
 
-    def columns(self, float_conversion: str, cell) -> tuple[list[str], list[Sequence]]:
+    def conversions(self, float_conversion: str, cell) -> tuple[list[str], list[Sequence]]:
         """Each column's %-conversion and the values that fill it.
 
         A column of finite floats takes float_conversion and a column of
@@ -65,17 +71,17 @@ class Table:
         non-finite floats or mixed kinds) is rendered value by value by
         cell and taken by %s.
         """
-        columns: list[Sequence] = list(zip(*self.rows))
-        conversions = []
-        for i, column in enumerate(columns):
+        conversions, columns = [], []
+        for column in self.columns:
             kinds = set(map(type, column))
             if kinds == {float} and all(map(math.isfinite, column)):
                 conversions.append(float_conversion)
             elif kinds == {int}:
                 conversions.append("%d")
             else:
-                columns[i] = list(map(cell, column))
+                column = list(map(cell, column))
                 conversions.append("%s")
+            columns.append(column)
         return conversions, columns
 
 
@@ -137,10 +143,10 @@ def _render_csv(report: Report) -> str:
             key: value for key, value in report.fields.items() if not isinstance(value, Table)
         }
         if single:
-            tables.insert(0, Table(tuple(single), [tuple(single.values())]))
+            tables.insert(0, Table(tuple(single), [[value] for value in single.values()]))
     for table in tables:
         pieces.append(",".join(map(_cell, table.header)) + "\n")
-        conversions, columns = table.columns("%.12g", _cell)
+        conversions, columns = table.conversions("%.12g", _cell)
         template = ",".join(conversions) + "\n"
         pieces.extend(map(template.__mod__, zip(*columns)))
     return "".join(pieces)
@@ -148,11 +154,11 @@ def _render_csv(report: Report) -> str:
 
 def _json_table(table: Table) -> list[str]:
     """A table as json.dumps(indent=2) prints a list of row objects at depth 1."""
-    if not table.rows:
+    if not table.columns[0]:
         return ["[]"]
     # %r is the float repr that json uses, exact for the finite floats that
-    # columns() lets through; every row carries its leading separator
-    conversions, columns = table.columns("%r", lambda value: _json_value(value, " " * 6))
+    # conversions() lets through; every row carries its leading separator
+    conversions, columns = table.conversions("%r", lambda value: _json_value(value, " " * 6))
     template = ",\n    {%s\n    }" % ",".join(
         "\n      %s: %s" % (json.dumps(key, ensure_ascii=False).replace("%", "%%"), conversion)
         for key, conversion in zip(table.header, conversions)
@@ -182,12 +188,7 @@ def emit(report: Report, fmt: str, destination: str | None, mark) -> None:
     mark is called with "render" once the text is rendered and with "write"
     once it is written.
     """
-    if fmt == "csv":
-        rendered = _render_csv(report)
-    elif fmt == "json":
-        rendered = _render_json(report)
-    else:
-        raise DomainError(f"unknown format {fmt!r}")
+    rendered = {"csv": _render_csv, "json": _render_json}[fmt](report)
     mark("render")
     if destination is None or destination == "-":
         sys.stdout.write(rendered)
@@ -281,38 +282,26 @@ def _run_dispersion(options: dict) -> Report:
         "scale": field.scale,
         "formula": formula,
     }
-    energies = branch_energies(mass, momentum[None, :], field.k, field.scale, formula)
+    e = branch_energies(mass, momentum[None, :], field.k, field.scale, formula)
     # per formula: standard, plus and minus branch energies, then the gap
     results = {
-        "semiclassical": (
-            energies.rest,
-            energies.semiclassical_plus,
-            energies.semiclassical_minus,
-            energies.signed_shift,
-        ),
-        "exact": (
-            energies.exact_standard,
-            energies.exact_plus,
-            energies.exact_minus,
-            energies.gap_exact,
-        ),
+        "semiclassical": (e.rest, e.semiclassical_plus, e.semiclassical_minus, e.signed_shift),
+        "exact": (e.exact_standard, e.exact_plus, e.exact_minus, e.gap_exact),
     }
-    chosen = [name for name in results if formula in (name, "both")]
+    chosen = {
+        name: [float(column[0]) for column in columns]
+        for name, columns in results.items()
+        if formula in (name, "both")
+    }
     branches = {
-        branch.value: {name: float(results[name][i][0]) for name in chosen}
+        branch.value: {name: values[i] for name, values in chosen.items()}
         for i, branch in enumerate(Branch)
     }
-    gaps = {name: float(results[name][3][0]) for name in chosen}
+    gaps = {name: values[3] for name, values in chosen.items()}
     # CSV shows the branches as a table rather than the two nested dicts
-    return Report(
-        "dispersion",
-        parameters,
-        {"branches": branches, "gaps": gaps},
-        csv_table=Table(
-            ("branch", *(f"e_{name}" for name in chosen)),
-            [(branch, *entry.values()) for branch, entry in branches.items()],
-        ),
-    )
+    header = ("branch", *(f"e_{name}" for name in chosen))
+    table = Table(header, [list(branches), *(values[:3] for values in chosen.values())])
+    return Report("dispersion", parameters, {"branches": branches, "gaps": gaps}, csv_table=table)
 
 
 def _run_sweep(options: dict) -> Report:
@@ -323,7 +312,7 @@ def _run_sweep(options: dict) -> Report:
     count = options["count"]
     if count < 0:
         raise DomainError("--count must be non-negative")
-    if not (math.isfinite(start) and math.isfinite(stop)):
+    if not (np.all(np.isfinite(p_transverse)) and math.isfinite(start) and math.isfinite(stop)):
         raise DomainError("momentum must be finite")
     if not math.isfinite(stop - start):
         raise DomainError("--p3-max - --p3-min overflows float64")
@@ -336,32 +325,22 @@ def _run_sweep(options: dict) -> Report:
         "p3_max": stop,
         "count": count,
     }
-    header = (
-        "p3",
-        "e_plus_semiclassical",
-        "e_minus_semiclassical",
-        "e_plus_exact",
-        "e_minus_exact",
-        "gap_semiclassical",
-        "gap_exact",
-    )
     p3 = np.linspace(start, stop, count)
     momenta = np.column_stack(
         (np.full(count, p_transverse[0]), np.full(count, p_transverse[1]), p3)
     )
     energies = branch_energies(mass, momenta, field.k, field.scale)
-    table = np.column_stack(
-        (
-            p3,
-            energies.semiclassical_plus,
-            energies.semiclassical_minus,
-            energies.exact_plus,
-            energies.exact_minus,
-            energies.signed_shift,
-            energies.gap_exact,
-        )
-    )
-    return Report("sweep", parameters, {"rows": Table(header, table.tolist())})
+    columns = {
+        "p3": p3,
+        "e_plus_semiclassical": energies.semiclassical_plus,
+        "e_minus_semiclassical": energies.semiclassical_minus,
+        "e_plus_exact": energies.exact_plus,
+        "e_minus_exact": energies.exact_minus,
+        "gap_semiclassical": energies.signed_shift,
+        "gap_exact": energies.gap_exact,
+    }
+    table = Table(tuple(columns), [column.tolist() for column in columns.values()])
+    return Report("sweep", parameters, {"rows": table})
 
 
 def _run_preference(options: dict) -> Report:
@@ -396,16 +375,16 @@ def _run_ring_spectrum(options: dict) -> Report:
     if count is not None and count < 0:
         raise DomainError("--count must be non-negative")
     spec = RingSpec(sites=sites, circumference=length, twist=twist, mass=mass)
-    rows = list(zip(*(column[:count].tolist() for column in ring_modes(spec))))
+    columns = [column[:count].tolist() for column in ring_modes(spec)]
     parameters = {
         "sites": sites,
         "length": length,
         "twist": twist,
         "m": mass,
-        "count": len(rows),
+        "count": len(columns[0]),
     }
     header = ("n", "e_n", "energy", "multiplicity")
-    return Report("ring-spectrum", parameters, {"rows": Table(header, rows)})
+    return Report("ring-spectrum", parameters, {"rows": Table(header, columns)})
 
 
 def _run_map_check(options: dict) -> Report:
@@ -510,19 +489,22 @@ def _run_algebra_chain(options: dict) -> Report:
         "initial": options["initial"],
         "events": options["events"],
     }
+    header = ("step", "table", "state")  # ChainStep's fields
     fields = {
         "initial_table": table,
         "final": final,
-        "trace": Table(("step", "table", "state"), [(s.step, s.table, s.state) for s in trace]),
+        "trace": Table(header, [[getattr(step, key) for step in trace] for key in header]),
     }
     return Report("algebra chain", parameters, fields)
 
 
 def _run_verify(options: dict) -> Report:
     suite = options["suite"]
-    rows = [(check.name, bool(check.passed), check.detail) for check in run_suite(suite)]
-    failed = sum(1 for _, passed, _ in rows if not passed)
-    fields = {"checks": Table(("name", "passed", "detail"), rows), "failed": failed}
+    checks = run_suite(suite)
+    passed = [bool(check.passed) for check in checks]
+    failed = passed.count(False)
+    columns = [[check.name for check in checks], passed, [check.detail for check in checks]]
+    fields = {"checks": Table(("name", "passed", "detail"), columns), "failed": failed}
     return Report("verify", {"suite": suite}, fields, exit_code=0 if failed == 0 else 1)
 
 
@@ -541,12 +523,13 @@ def _add_momentum_field(parser: argparse.ArgumentParser, tol: bool) -> None:
         parser.add_argument("--tol", type=float, default=None)
 
 
-def _add_common(parser: argparse.ArgumentParser, default_format: str, run) -> None:
-    """The output flags every command takes, and the runner its options go to."""
+def _add_common(parser: argparse.ArgumentParser, default_format: str, run, config=False) -> None:
+    """The output flags, the runner the options go to, and --config if the runner reads it."""
     parser.set_defaults(run=run)
     parser.add_argument("--format", choices=("csv", "json"), default=default_format)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--config", default=None, help="key = value file for scale/tol")
+    if config:
+        parser.add_argument("--config", default=None, help="key = value file for scale/tol")
     parser.add_argument(
         "--timing", action="store_true", help="write per-stage spans to stderr as JSON lines"
     )
@@ -565,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, required=True)
     _add_momentum_field(p, tol=False)
     p.add_argument("--formula", choices=("semiclassical", "exact", "both"), default="both")
-    _add_common(p, "csv", _run_dispersion)
+    _add_common(p, "csv", _run_dispersion, config=True)
 
     p = sub.add_parser("sweep", help="branch energies over a ring-momentum range")
     p.add_argument("--m", type=float, required=True)
@@ -575,11 +558,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p3-max", dest="p3_max", type=float, required=True)
     p.add_argument("--count", type=int, required=True, help="number of sample points")
     p.add_argument("--scale", type=float, default=None)
-    _add_common(p, "csv", _run_sweep)
+    _add_common(p, "csv", _run_sweep, config=True)
 
     p = sub.add_parser("preference", help="which branch the field sign prefers")
     _add_momentum_field(p, tol=True)
-    _add_common(p, "json", _run_preference)
+    _add_common(p, "json", _run_preference, config=True)
 
     p = sub.add_parser("ring-spectrum", help="twisted ring levels and multiplicities")
     p.add_argument("--sites", type=int, required=True)
@@ -600,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--section-file", dest="section_file", default=None)
-    _add_common(p, "json", _run_map_check)
+    _add_common(p, "json", _run_map_check, config=True)
 
     algebra = sub.add_parser("algebra", help="finite composition tables")
     algebra_sub = algebra.add_subparsers(dest="subcommand", required=True)
@@ -621,14 +604,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True, help="JSON list of {operand, involute}")
     p.add_argument("--initial", required=True)
     _add_momentum_field(p, tol=True)
-    _add_common(p, "json", _run_algebra_chain)
+    _add_common(p, "json", _run_algebra_chain, config=True)
 
     p = sub.add_parser("verify", help="run invariant suites")
-    p.add_argument(
-        "--suite",
-        choices=("all", *SUITES),
-        default="all",
-    )
+    p.add_argument("--suite", choices=("all", *SUITES), default="all")
     _add_common(p, "json", _run_verify)
     return parser
 
@@ -679,3 +658,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

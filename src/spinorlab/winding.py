@@ -15,6 +15,7 @@ produces) without losing the circuit count.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,10 +114,20 @@ def build_theta(sites: int, circumference: float, winding: int) -> ThetaField:
         raise DomainError(
             f"|winding| must be below sites/2 = {sites / 2:g} to resolve the ramp, got {winding}"
         )
-    if circumference <= 0.0:
-        raise DomainError("circumference must be positive")
     samples = TWO_PI * winding * np.arange(sites) / float(sites)
-    return ThetaField(samples=samples, winding=winding, circumference=float(circumference))
+    theta = ThetaField(samples=samples, winding=winding, circumference=float(circumference))
+    # the Dirac operators divide by L/N, sum the gradient over the sites and
+    # take the phase 2*pi*x/L: refuse by name the lengths that overflow there
+    if circumference / sites < sys.float_info.min or not math.isfinite(
+        TWO_PI * abs(winding) * sites / circumference
+    ):
+        raise DomainError(
+            f"circumference L = {circumference!r} is too small: L/N is subnormal or "
+            "2*pi*|w|*N/L overflows float64"
+        )
+    if not math.isfinite(TWO_PI * circumference):
+        raise DomainError(f"circumference L = {circumference!r} is too large: 2*pi*L overflows")
+    return theta
 
 
 def gradient_field(theta: ThetaField, scale: float = 1.0) -> WindingGradient:

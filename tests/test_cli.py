@@ -2,7 +2,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +218,17 @@ def test_sweep_rejects_an_unbounded_range_without_warnings(capsys, low, high, me
     assert code == 3
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("count", ["0", "2"])
+@pytest.mark.parametrize("transverse", ["nan,0", "0,inf", "-inf,nan"])
+def test_sweep_rejects_a_non_finite_transverse_momentum_at_any_count(capsys, count, transverse):
+    # refused before any row is built, so also when there are no rows
+    code, out, err = run(
+        capsys, "sweep", "--m", "1", "--k", "0,0,0.1", "--p3-min", "0", "--p3-max", "1",
+        "--count", count, f"--p-transverse={transverse}",
+    )
+    assert (code, out, err) == (3, "", "error: momentum must be finite\n")
 
 
 def test_preference_overflow_exits_3(capsys):
@@ -496,6 +511,25 @@ def test_map_check_kernel_energy_overflow_exits_3(capsys, argv, quantity):
         code, out, err = run(capsys, "map-check", "--sites", "16", "--sections", "1", *argv)
     assert (code, out) == (3, "")
     assert err == f"error: kernel mode energy: m^2 + q_eff^2 overflows float64 at {quantity}\n"
+
+
+TOO_SMALL = "is too small: L/N is subnormal or 2*pi*|w|*N/L overflows float64"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--length", "1e-310"), f"1e-310 {TOO_SMALL}"),
+        (("--length", "5e-324"), f"5e-324 {TOO_SMALL}"),
+        (("--sites", "16", "--winding", "7", "--length", "8e-307"), f"8e-307 {TOO_SMALL}"),
+        (("--length", "1e308"), "1e+308 is too large: 2*pi*L overflows"),
+    ],
+)
+def test_map_check_names_an_extreme_length_without_warnings(capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "map-check", *argv)
+    assert (code, out, err) == (3, "", f"error: circumference L = {message}\n")
 
 
 def test_algebra_analyze_builtin(capsys):
@@ -803,6 +837,39 @@ def test_usage_errors_exit_2(capsys):
     assert main(["dispersion", "--m", "1"]) == 2  # missing required flags
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("verify",),
+        ("ring-spectrum", "--sites", "8", "--length", "1"),
+        ("algebra", "analyze", "--table", "z2"),
+        ("algebra", "compose", "--table", "z2", "C", "C"),
+    ],
+)
+def test_config_is_a_usage_error_where_it_is_not_read(capsys, command):
+    code, out, err = run(capsys, *command, "--config", "x")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --config x" in err
+
+
+@pytest.mark.parametrize("module", ["spinorlab", "spinorlab.cli"])
+@pytest.mark.parametrize(
+    "argv, code, stream, text",
+    [
+        (["--version"], 0, "stdout", "spinorlab 0.1.0\n"),
+        (["dispersion", "--m", "1", "--p", "1,2", "--k", "0,0,0"], 3, "stderr",
+         "error: --p expects 3 comma-separated numbers, got '1,2'\n"),
+    ],
+)
+def test_module_entry_points_run_the_cli(module, argv, code, stream, text):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == code
+    assert getattr(done, stream) == text
 
 
 def test_malformed_vector_is_domain_error(capsys):
