@@ -10,14 +10,19 @@ fresh temporary file.
 Comparison rules:
 
 * exact bytes of output and stderr, and the exit code, for every case but
-  the next two;
+  the next three;
 * `verify --suite sections|lattice|all`: the same exit code and stderr,
   and the same output once each check's detail is dropped, i.e. the same
   check names, verdicts and failure count.  Their details print FFT and
   eigensolver residuals, which move by rounding;
 * `map-check`: the same exit code, stderr, parameters, keys and `passed`,
   and each residual on the same side of its bound (MAP_CHECK_BOUNDS).
-  The residuals are FFT rounding, so only their verdicts are pinned.
+  The residuals are FFT rounding, so only their verdicts are pinned;
+* `ring-spectrum`: the same exit code, parameters, n, multiplicity and row
+  order, and stderr, and each e_n and energy within RING_RTOL * (pi*N +
+  |twist|)/L of the expected value (CSV: plus one unit in its 12th
+  significant digit); so is the largest level that an overflow error
+  echoes in stderr.  The levels are eigensolver rounding below that.
 
 Adding a case (it refuses a name that already has an expected file):
 
@@ -30,7 +35,9 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -55,6 +62,11 @@ MAP_CHECK_BOUNDS = {
     "kernel_residual": ("tol", 1.0),
     "mapped_kernel_residual": ("tol", 1.0 + 1e-6),
 }
+# ring-spectrum's e_n and energy may move by this much of the top level
+RING_RTOL = 2e-14
+RING_VALUES = ("e_n", "energy")
+# the largest level, which lattice.dirac_energies echoes when an energy overflows
+ECHOED_LEVEL = re.compile(r"(?<=max \|e_n\| = )\S+")
 
 
 def run_case(argv: list[str]) -> tuple[int, str, str]:
@@ -116,6 +128,53 @@ def _comparable(argv: list[str], output: str):
     return document
 
 
+def _ring_spectrum_parts(output: str, stderr: str):
+    """A ring-spectrum run as (the part pinned exactly, [(value, its print's rounding unit)]).
+
+    The values are each row's e_n and energy, and the largest level that an
+    overflow error echoes in stderr.  A CSV value's unit is one in its 12th
+    significant digit; every other value prints in full (unit 0).
+    """
+    pinned = [ECHOED_LEVEL.sub("", stderr)]
+    values = [(float(level), 0.0) for level in ECHOED_LEVEL.findall(stderr)]
+    if output.startswith("{"):
+        document = json.loads(output)
+        values += [(row.pop(key), 0.0) for row in document["rows"] for key in RING_VALUES]
+        pinned.append(document)
+    elif output:
+        lines = output.splitlines()
+        comments = [line for line in lines if line.startswith("#")]
+        header, *rows = csv.reader(lines[len(comments) :])
+        columns = [header.index(key) for key in RING_VALUES]
+        for row in rows:
+            values += [(float(row[column]), _twelfth_digit(float(row[column]))) for column in columns]
+        kept = [[cell for column, cell in enumerate(row) if column not in columns] for row in rows]
+        pinned.append((comments, header, kept))
+    return pinned, values
+
+
+def _twelfth_digit(value: float) -> float:
+    """One unit in the 12th significant digit of value, as %.12g prints it."""
+    return 10.0 ** (math.floor(math.log10(abs(value))) - 11) if value else 0.0
+
+
+def _ring_bound(argv: list[str]) -> float:
+    """RING_RTOL * (pi*N + |twist|)/L for the ring that argv asks for."""
+    exotic = _option(argv, "--structure", "standard") == "exotic"
+    twist = math.pi if exotic else float(_option(argv, "--twist", "0"))
+    sites, length = float(_option(argv, "--sites", "")), float(_option(argv, "--length", ""))
+    return RING_RTOL * (math.pi * sites + abs(twist)) / length
+
+
+def _assert_ring_spectrum_close(argv, output, stderr, expected, expected_stderr) -> None:
+    pinned, values = _ring_spectrum_parts(output, stderr)
+    expected_pinned, expected_values = _ring_spectrum_parts(expected, expected_stderr)
+    assert pinned == expected_pinned
+    bound = _ring_bound(argv) if expected_values else 0.0
+    for (value, _), (reference, unit) in zip(values, expected_values, strict=True):
+        assert abs(value - reference) <= bound + unit, (value, reference, bound + unit)
+
+
 def _cases() -> list[dict]:
     return json.loads(MANIFEST.read_text())
 
@@ -124,8 +183,12 @@ def _cases() -> list[dict]:
 def test_golden_case(case):
     code, output, stderr = run_case(case["argv"])
     expected = (EXPECTED / f"{case['name']}.out").read_text()
-    assert (code, stderr) == (case["exit"], case["stderr"])
-    assert _comparable(case["argv"], output) == _comparable(case["argv"], expected)
+    if case["argv"][:1] == ["ring-spectrum"]:
+        assert code == case["exit"]
+        _assert_ring_spectrum_close(case["argv"], output, stderr, expected, case["stderr"])
+    else:
+        assert (code, stderr) == (case["exit"], case["stderr"])
+        assert _comparable(case["argv"], output) == _comparable(case["argv"], expected)
 
 
 def test_manifest_names_are_unique_and_complete():
