@@ -349,6 +349,12 @@ def plane_wave_section(
     )
 
 
+def _sum_of_squares(vector: np.ndarray) -> float:
+    """sum |v|^2 formed as np.linalg.norm forms it; an overflow is left as inf."""
+    with np.errstate(over="ignore"):
+        return float(vector.real.dot(vector.real) + vector.imag.dot(vector.imag))
+
+
 def kernel_mode(
     theta: ThetaField, mass: float, harmonic: int, scale: float = 1.0
 ) -> tuple[SampledSection, float]:
@@ -360,9 +366,11 @@ def kernel_mode(
     its norm, sqrt(2E(E + m)), is the largest of the four columns'.  At
     E = m = 0 the projector vanishes and every spinor is in the kernel, so
     the spinor is e_0.  Applying D_plus at that energy annihilates the
-    section up to rounding.  A mass that is negative or not finite, a scale
-    that is not finite, and an energy that overflows float64, are a
-    DomainError.
+    section up to rounding.  The norm is taken of the column scaled to its
+    largest entry where its sum of squares would overflow or be subnormal,
+    so a column above ~1e154 still normalizes to a unit spinor.  A mass that
+    is negative or not finite, a scale that is not finite, and an energy
+    that overflows float64, are a DomainError.
     """
     _check_mass(mass)
     if not math.isfinite(scale):
@@ -380,8 +388,17 @@ def kernel_mode(
         )
     e0 = np.eye(4)[0]
     column = energy * GAMMA0[:, 0] - q_eff * GAMMA3[:, 0] + mass * e0
-    norm = np.linalg.norm(column)
-    spinor = column / norm if norm > 0.0 else e0
+    squares = _sum_of_squares(column)
+    if not np.finfo(np.float64).tiny <= squares < math.inf:
+        # only a column whose sum of squares overflows or is subnormal is
+        # scaled to its largest entry first; every other column keeps the
+        # bits of np.linalg.norm
+        largest = np.max(np.abs(column))
+        if largest > 0.0:
+            # part by part: numpy's complex division overflows at a subnormal divisor
+            column = column.real / largest + 1j * (column.imag / largest)
+            squares = _sum_of_squares(column)
+    spinor = column / math.sqrt(squares) if squares > 0.0 else e0
     return plane_wave_section(theta.sites, theta.circumference, harmonic, spinor), energy
 
 

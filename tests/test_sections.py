@@ -309,6 +309,17 @@ def test_kernel_mode_at_zero_energy(mass):
     assert all(value <= bound for _, value, bound in map_checks(drawn, theta, mass))
 
 
+@pytest.mark.parametrize("mass, winding", [(1e154, 1), (1e-160, -2)])
+def test_kernel_spinor_has_unit_norm_where_its_square_does_not_fit(mass, winding):
+    # column 0 is ~2m: its sum of squares overflows at m = 1e154 and is
+    # subnormal at m = 1e-160 (q_eff = 0 at winding -2), and neither may
+    # turn the kernel mode into the zero section or leak a RuntimeWarning
+    theta = _theta(w=winding)
+    section, _ = kernel_mode(theta, mass, harmonic=1)
+    assert np.abs(np.linalg.norm(section.values[0]) - 1.0) <= 1e-15
+    assert np.all(np.abs(np.linalg.norm(section.values, axis=1) - 1.0) <= 1e-15)
+
+
 @pytest.mark.parametrize("mass, scale", [(1e200, 1.0), (1.0, 1e308)])
 def test_kernel_mode_energy_overflow_is_a_domain_error(mass, scale):
     with pytest.raises(DomainError, match=r"m\^2 \+ q_eff\^2 overflows float64"):
