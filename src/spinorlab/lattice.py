@@ -28,17 +28,39 @@ the real symmetric blocks
 
 The change of basis W is unitary, so W^dagger H W is an exact similarity:
 same spectrum, and LAPACK's real solver instead of its ~3x dearer complex
-one.  W only pairs each site j with its mirror -j; it is not a Fourier
-transform of H and uses no analytic level, so the oracle remains an
-independent dense diagonalization.  The entries are formed from a and b
-directly; the complex N x N matrix is never built.
+one.
+
+H is circulant, so it also commutes with the shift T e_k = e_{k + N/2}.
+In the parity basis T is a signed permutation,
+
+    T u_j = u_{N/2 - j},    T v_j = -v_{N/2 - j},
+
+so the real matrix splits into two sectors sigma = +1, -1, each spanned
+by the N/2 vectors (x + sigma T x)/sqrt(2).  A sector keeps the
+representative j <= N/4 of each pair {j, N/2 - j}.  When 4 | N the pair
+at j = N/4 is a fixed point: u_{N/4} belongs to sector +1 and v_{N/4} to
+sector -1, each with a factor sqrt(1/2) on its row and column.  Sector
+sigma has the blocks above over its representatives, with a and b the
+even and odd parts of the folded column c[d] + sigma * c[d + N/2].  Two
+eigensolves of size N/2 cost a quarter of one of size N, and neither the
+complex nor the real N x N matrix is ever built.
+
+Neither change of basis is a Fourier transform of H or uses an analytic
+level: W pairs each site j with its mirror -j, and T with its antipode
+j + N/2, so the oracle remains an independent dense diagonalization.  The
+split is done once, not recursively.  Splitting each sector again by the
+shift N/4, and so on down, is the FFT, which would diagonalize H from the
+very momenta that build it and leave the eigensolver nothing to check.  A
+real-space Peierls operator with uniform link phases is circulant as
+well, so the single split carries over to it.
 
 The dictionary between boundary twist and spinor structure: the trivial
 structure is twist 0, the exotic one twist pi (the half phase halves the
 2*pi holonomy of the winding gradient).  The Dirac ring operator is the
 2N x 2N matrix sigma1 x (-i d/dx + Phi/L) + m * sigma3 x 1, whose spectrum
 comes out symmetric under E -> -E; single-particle energies are
-E_n = sqrt(m^2 + e_n^2).  Dense matrices are bounded by
+E_n = sqrt(m^2 + e_n^2); the shift acts alike on both spinor components,
+so it splits into two N x N sectors.  Dense operators are bounded by
 MAX_DENSE_DIMENSION.
 """
 
@@ -55,10 +77,12 @@ from .winding import TWO_PI
 
 STRUCTURE_TWIST = {Structure.STANDARD: 0.0, Structure.EXOTIC: math.pi}
 
-# Largest dense matrix the oracle diagonalizes: N for the generator, 2N for
-# the Dirac operator.  `ring-spectrum --sites 4096` takes ~8 s and ~290 MB
-# peak on one BLAS thread of a 2-core VM; time grows as the cube of the
-# dimension and memory as its square.
+# Largest operator the oracle diagonalizes: dimension N for the generator,
+# 2N for the Dirac operator.  The check is on that dimension, while the
+# largest matrix actually built is one translation sector, half of it.
+# `ring-spectrum --sites 4096` takes ~2.1 s and ~97 MB peak on one BLAS
+# thread of a 2-core VM; time grows as the cube of the dimension and
+# memory as its square.
 MAX_DENSE_DIMENSION = 4096
 
 
@@ -126,55 +150,68 @@ def _generator_column(spec: RingSpec) -> np.ndarray:
     return column
 
 
-def _generator_matrix(spec: RingSpec) -> np.ndarray:
-    """Twisted generator -i d/dx + twist/L, real symmetric in the parity basis.
+def _parity_block(
+    values: np.ndarray, rows: np.ndarray, columns: np.ndarray, sign: float
+) -> np.ndarray:
+    """w_p * w_q * (values[p - q] + sign * values[p + q]) over rows p and columns q.
 
-    Rows and columns run over u_0 .. u_{N/2}, then v_1 .. v_{N/2-1}; the
-    entries come from the even part a and the odd part b of the circulant
-    column alone, through (N/2 + 1)^2 index grids.
+    With 0 <= p, q <= N/4, the indices p - q >= -N/4 and p + q <= N/2 are
+    already indices mod N = len(values).  The weight w_j is sqrt(1/2) where
+    2*j = 0 mod N/2 (u_0 and the shift-fixed N/4) and 1 elsewhere.  The
+    block is built in place, so it holds at most one index grid and one
+    gathered copy besides itself.
     """
-    n = spec.sites
-    half = n // 2
-    column = _generator_column(spec)
-    even_part, odd_part = column.real, column.imag
-    index = np.arange(half + 1)
-    difference = np.subtract.outer(index, index) % n
-    total = np.add.outer(index, index) % n
-    # root2_weight = sqrt(2) * s: 1 inside, sqrt(1/2) at the fixed points
-    root2_weight = np.ones(half + 1)
-    root2_weight[[0, half]] = math.sqrt(0.5)
-    inner = slice(1, half)
-    matrix = np.empty((n, n))
-    matrix[: half + 1, : half + 1] = np.outer(root2_weight, root2_weight) * (
-        even_part[difference] + even_part[total]
-    )
-    matrix[half + 1 :, half + 1 :] = (
-        even_part[difference[inner, inner]] - even_part[total[inner, inner]]
-    )
-    cross = root2_weight[:, None] * (odd_part[total[:, inner]] - odd_part[difference[:, inner]])
-    matrix[: half + 1, half + 1 :] = cross
-    matrix[half + 1 :, : half + 1] = cross.T
+    half = len(values) // 2
+    block = values[np.subtract.outer(rows, columns)]
+    block += sign * values[np.add.outer(rows, columns)]
+    block *= np.where(2 * rows % half == 0, math.sqrt(0.5), 1.0)[:, None]
+    block *= np.where(2 * columns % half == 0, math.sqrt(0.5), 1.0)
+    return block
+
+
+def _sector_matrix(column: np.ndarray, sign: float) -> np.ndarray:
+    """Translation sector sigma = sign of the generator: real symmetric, N/2 x N/2.
+
+    Rows and columns run over u_j for j = 0 .. floor(N/4), then v_j for
+    j = 1 .. floor(N/4), less the fixed point N/4 when 4 | N: u_{N/4}
+    belongs to sector +1 and v_{N/4} to sector -1.  The entries are the
+    parity-basis blocks of the module docstring on the folded column
+    c[d] + sigma * c[d + N/2], whose even part a and odd part b are all the
+    sector is built from.
+    """
+    half = len(column) // 2
+    folded = column + sign * np.roll(column, -half)
+    wide, narrow = (half + 2) // 2, (half + 1) // 2
+    u_stop, v_stop = (wide, narrow) if sign > 0 else (narrow, wide)
+    u_index, v_index = np.arange(u_stop), np.arange(1, v_stop)
+    matrix = np.empty((half, half))
+    matrix[:u_stop, :u_stop] = _parity_block(folded.real, u_index, u_index, 1.0)
+    matrix[u_stop:, u_stop:] = _parity_block(folded.real, v_index, v_index, -1.0)
+    # b is odd bit for bit, so EO[p, q] = b[p + q] - b[p - q] = b[q + p] + b[q - p]
+    matrix[u_stop:, :u_stop] = _parity_block(folded.imag, v_index, u_index, 1.0)
+    matrix[:u_stop, u_stop:] = matrix[u_stop:, :u_stop].T
     return matrix
 
 
-def _dirac_matrix(spec: RingSpec) -> np.ndarray:
-    """Dirac ring operator sigma1 x M + m * sigma3 x 1 on the real generator M.
+def _dirac_sector(generator: np.ndarray, mass: float) -> np.ndarray:
+    """Dirac ring operator sigma1 x M + m * sigma3 x 1 on a real generator sector M.
 
-    The parity change of basis acts alike on both spinor components, so it
-    carries the mass term over unchanged.
+    The shift and the parity change of basis act alike on both spinor
+    components, so they carry the mass term over unchanged.
     """
-    generator = _generator_matrix(spec)
-    mass = spec.mass * np.eye(spec.sites)
-    return np.block([[mass, generator], [generator, -mass]])
+    mass_term = mass * np.eye(len(generator))
+    return np.block([[mass_term, generator], [generator, -mass_term]])
 
 
 def ring_spectrum(spec: RingSpec, first_order: bool = True) -> np.ndarray:
-    """Every eigenvalue of the twisted ring operator: eigvalsh's ascending array.
+    """Every eigenvalue of the twisted ring operator, ascending.
 
     first_order=True diagonalizes the generator itself (N momentum levels,
     one per mode index).  first_order=False diagonalizes the massive Dirac
-    ring operator (2N levels, symmetric under E -> -E).  A matrix of
-    dimension over MAX_DENSE_DIMENSION is refused before it is built.
+    ring operator (2N levels, symmetric under E -> -E).  Either way that is
+    one eigvalsh call per translation sector, of half the operator's
+    dimension, and the two sectors' values merged.  An operator of
+    dimension over MAX_DENSE_DIMENSION is refused before anything is built.
     """
     dimension = spec.sites if first_order else 2 * spec.sites
     if dimension > MAX_DENSE_DIMENSION:
@@ -182,8 +219,15 @@ def ring_spectrum(spec: RingSpec, first_order: bool = True) -> np.ndarray:
             f"a ring of {spec.sites} sites needs a dense matrix of dimension "
             f"{dimension}, over the limit {MAX_DENSE_DIMENSION}"
         )
-    matrix = _generator_matrix(spec) if first_order else _dirac_matrix(spec)
-    return np.linalg.eigvalsh(matrix)
+    column = _generator_column(spec)
+
+    def sector(sign: float) -> np.ndarray:
+        generator = _sector_matrix(column, sign)
+        return generator if first_order else _dirac_sector(generator, spec.mass)
+
+    # each sector is freed before the next one is built
+    levels = [np.linalg.eigvalsh(sector(sign)) for sign in (1.0, -1.0)]
+    return np.sort(np.concatenate(levels))
 
 
 def mode_indices(spec: RingSpec) -> np.ndarray:

@@ -147,7 +147,8 @@ def _ring_spectrum_parts(output: str, stderr: str):
         header, *rows = csv.reader(lines[len(comments) :])
         columns = [header.index(key) for key in RING_VALUES]
         for row in rows:
-            values += [(float(row[column]), _twelfth_digit(float(row[column]))) for column in columns]
+            printed = [float(row[column]) for column in columns]
+            values += [(value, _twelfth_digit(value)) for value in printed]
         kept = [[cell for column, cell in enumerate(row) if column not in columns] for row in rows]
         pinned.append((comments, header, kept))
     return pinned, values

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -14,10 +15,10 @@ from spinorlab.lattice import (
     MAX_DENSE_DIMENSION,
     STRUCTURE_TWIST,
     RingSpec,
-    _dirac_matrix,
+    _dirac_sector,
     _generator_column,
-    _generator_matrix,
     _group_levels,
+    _sector_matrix,
     analytic_levels,
     dirac_energies,
     mode_indices,
@@ -66,7 +67,7 @@ LENGTHS = np.random.default_rng(0).uniform(1.0, 4.0 * math.pi, 3).tolist()
 @pytest.mark.parametrize("sites", [512, 768, 1024])
 def test_large_rings_match_quantization_rule(sites, twist):
     # eigvalsh error against the analytic levels, relative to the largest
-    # level pi*N/L: at most 1.3e-14 over this grid
+    # level pi*N/L: at most 1.5e-14 over this grid
     for length in LENGTHS:
         spec = RingSpec(sites=sites, circumference=length, twist=twist)
         numeric = ring_spectrum(spec)
@@ -102,28 +103,111 @@ def test_generator_matrix_is_hermitian_and_circulant(sites):
         assert np.array_equal(matrix[:, j], np.roll(matrix[:, 0], j))
 
 
+def _shift_sectors(sites):
+    """Bases of the shift T e_k = e_{k + N/2}'s sectors sigma = +1 and -1, in the generator's order.
+
+    Each parity column x gives (x + sigma*T x), normalized; one that
+    vanishes (a fixed point of the other sector) or repeats an earlier
+    column (the partner N/2 - j of a pair) is left out.
+    """
+    parity = _parity_basis(sites)
+    shifted = np.roll(parity, sites // 2, axis=0)
+    bases = []
+    for sign in (1.0, -1.0):
+        columns = []
+        for vector in (parity + sign * shifted).T:
+            norm = np.linalg.norm(vector)
+            if norm > 0.5 and all(abs(np.vdot(kept, vector)) < 0.5 * norm for kept in columns):
+                columns.append(vector / norm)
+        bases.append(np.column_stack(columns))
+    return bases
+
+
+def _block_diagonal(blocks):
+    size = sum(len(block) for block in blocks)
+    matrix = np.zeros((size, size))
+    start = 0
+    for block in blocks:
+        matrix[start : start + len(block), start : start + len(block)] = block
+        start += len(block)
+    return matrix
+
+
 @pytest.mark.parametrize("twist", [0.0, math.pi, 1.1])
-@pytest.mark.parametrize("sites", [4, 10, 64])
+@pytest.mark.parametrize("sites", [4, 6, 10, 64])
 def test_parity_basis_makes_the_generator_real_symmetric(sites, twist):
+    # the parity basis split into the shift's two sectors turns the
+    # generator into the two real symmetric sector matrices, for N = 0 and
+    # N = 2 mod 4 alike
     spec = RingSpec(sites=sites, circumference=2.5, twist=twist, mass=0.7)
-    basis = _parity_basis(sites)
+    bases = _shift_sectors(sites)
+    basis = np.hstack(bases)
     assert np.max(np.abs(basis.conj().T @ basis - np.eye(sites))) <= 1e-15
     circulant = _circulant(spec)
-    real = _generator_matrix(spec)
-    assert real.dtype == np.float64 and np.array_equal(real, real.T)
+    column = _generator_column(spec)
+    sectors = [_sector_matrix(column, sign) for sign in (1.0, -1.0)]
+    for sector in sectors:
+        assert sector.dtype == np.float64 and sector.shape == (sites // 2, sites // 2)
+        assert np.array_equal(sector, sector.T)
     norm = np.linalg.norm(circulant, 2)
-    assert np.max(np.abs(basis.conj().T @ circulant @ basis - real)) <= 1e-15 * norm
+    split = basis.conj().T @ circulant @ basis
+    assert np.max(np.abs(split - _block_diagonal(sectors))) <= 1e-15 * norm
     # the Dirac operator: the same change of basis on both spinor components
     sigma1 = np.array([[0.0, 1.0], [1.0, 0.0]])
     sigma3 = np.diag([1.0, -1.0])
     dirac = np.kron(sigma1, circulant) + spec.mass * np.kron(sigma3, np.eye(sites))
-    spinor_basis = np.kron(np.eye(2), basis)
-    real_dirac = _dirac_matrix(spec)
-    assert real_dirac.dtype == np.float64 and np.array_equal(real_dirac, real_dirac.T)
+    spinor_basis = np.hstack([np.kron(np.eye(2), sector_basis) for sector_basis in bases])
+    dirac_sectors = [_dirac_sector(sector, spec.mass) for sector in sectors]
+    for sector in dirac_sectors:
+        assert sector.dtype == np.float64 and np.array_equal(sector, sector.T)
     norm = np.linalg.norm(dirac, 2)
-    assert np.max(np.abs(spinor_basis.conj().T @ dirac @ spinor_basis - real_dirac)) <= (
-        1e-15 * norm
-    )
+    split = spinor_basis.conj().T @ dirac @ spinor_basis
+    assert np.max(np.abs(split - _block_diagonal(dirac_sectors))) <= 1e-15 * norm
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    half=st.integers(2, 64),
+    length=st.floats(-3.0, 3.0).map(lambda exponent: 10.0**exponent),
+    twist=st.floats(-10.0, 10.0),
+    mass=st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda exponent: 10.0**exponent)),
+)
+def test_sector_split_matches_the_analytic_spectrum(half, length, twist, mass):
+    # eigvalsh rounding is on the scale of the operator: (pi*N + |twist|)/L
+    # for the generator, plus m for the Dirac operator
+    spec = RingSpec(2 * half, length, twist, mass)
+    top = (math.pi * spec.sites + abs(twist)) / length
+    levels = analytic_levels(spec)
+    assert np.max(np.abs(ring_spectrum(spec) - levels)) <= 2e-14 * top
+    energies = dirac_energies(mass, levels)
+    expected = np.sort(np.concatenate([-energies, energies]))
+    dirac = ring_spectrum(spec, first_order=False)
+    assert np.max(np.abs(dirac - expected)) <= 2e-14 * (top + mass)
+
+
+@pytest.mark.parametrize("sites", [512, 1026])
+def test_no_operator_is_built_at_full_dimension(monkeypatch, sites):
+    # eigvalsh sees the two sectors only, and no array the size of the
+    # operator (8 N^2 bytes for the generator, 32 N^2 for Dirac) is allocated
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorder(matrix):
+        shapes.append(matrix.shape)
+        return eigvalsh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorder)
+    spec = RingSpec(sites=sites, circumference=2.0, twist=1.1, mass=0.5)
+    for first_order, dimension in ((True, sites), (False, 2 * sites)):
+        shapes.clear()
+        tracemalloc.start()
+        try:
+            ring_spectrum(spec, first_order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert shapes == [(dimension // 2, dimension // 2)] * 2
+        assert peak < 8 * dimension**2
 
 
 def test_dense_dimension_is_bounded():
