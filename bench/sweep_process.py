@@ -39,7 +39,7 @@ def _run(argv: list[str], env: dict) -> tuple[float, float]:
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     if os.waitstatus_to_exitcode(status) != 0:
-        raise SystemExit(f"sweep failed: {argv}")
+        raise SystemExit(f"{argv[0]} failed: {argv}")
     return wall, usage.ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
 
 

@@ -80,7 +80,7 @@ STRUCTURE_TWIST = {Structure.STANDARD: 0.0, Structure.EXOTIC: math.pi}
 # Largest operator the oracle diagonalizes: dimension N for the generator,
 # 2N for the Dirac operator.  The check is on that dimension, while the
 # largest matrix actually built is one translation sector, half of it.
-# `ring-spectrum --sites 4096` takes ~2.1 s and ~97 MB peak on one BLAS
+# `ring-spectrum --sites 4096` takes ~2 s and ~97 MB peak on one BLAS
 # thread of a 2-core VM; time grows as the cube of the dimension and
 # memory as its square.
 MAX_DENSE_DIMENSION = 4096
