@@ -254,10 +254,7 @@ def _resolve(options: dict, key: str, fallback):
 
 def _field_from_options(options: dict) -> WindingGradient:
     k = _parse_vector(options["k"], 3, "--k")
-    scale = _resolve(options, "scale", 1.0)
-    # holonomy consistent with a unit-circumference generating ramp; only
-    # k and scale enter the dispersion formulas
-    return WindingGradient(k=k, holonomy=float(k[2]), scale=scale)
+    return WindingGradient(k=k, scale=_resolve(options, "scale", 1.0))
 
 
 def _preference_inputs(options: dict) -> tuple[np.ndarray, WindingGradient, float]:

@@ -11,8 +11,9 @@ deliberately kept apart:
 * exact: E = sqrt(m^2 + |p -+ s*k|^2), the closed form whose expansion
   reproduces the semiclassical gap to first order in k.
 
-The sign convention ties the energetically favoured branch to the sign of
-k.p: for s*(k.p) > 0 the plus branch lies lower under both formulas.
+s is the shift coefficient WindingGradient.scale (see there for how the
+closed form, the ring twist and the half-phase operators share it).  For
+s*(k.p) > 0 the plus branch lies lower under both formulas.
 """
 
 from __future__ import annotations

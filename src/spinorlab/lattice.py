@@ -55,13 +55,13 @@ real-space Peierls operator with uniform link phases is circulant as
 well, so the single split carries over to it.
 
 The dictionary between boundary twist and spinor structure: the trivial
-structure is twist 0, the exotic one twist pi (the half phase halves the
-2*pi holonomy of the winding gradient).  The Dirac ring operator is the
-2N x 2N matrix sigma1 x (-i d/dx + Phi/L) + m * sigma3 x 1, whose spectrum
-comes out symmetric under E -> -E; single-particle energies are
-E_n = sqrt(m^2 + e_n^2); the shift acts alike on both spinor components,
-so it splits into two N x N sectors.  Dense operators are bounded by
-MAX_DENSE_DIMENSION.
+structure is twist 0, the exotic one twist pi, the twist c*k3*L of a unit
+winding at c = shift_coefficient(1) (see WindingGradient).  The Dirac ring
+operator is the 2N x 2N matrix sigma1 x (-i d/dx + Phi/L) + m * sigma3 x 1,
+whose spectrum comes out symmetric under E -> -E; single-particle energies
+are E_n = sqrt(m^2 + e_n^2); the shift acts alike on both spinor
+components, so it splits into two N x N sectors.  Dense operators are
+bounded by MAX_DENSE_DIMENSION.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ import numpy as np
 
 from .dispersion import Structure
 from .errors import DomainError
-from .winding import TWO_PI
+from .winding import TWO_PI, shift_coefficient
 
-STRUCTURE_TWIST = {Structure.STANDARD: 0.0, Structure.EXOTIC: math.pi}
+STRUCTURE_TWIST = {Structure.STANDARD: 0.0, Structure.EXOTIC: shift_coefficient(1.0) * TWO_PI}
 
 # Largest operator the oracle diagonalizes: dimension N for the generator,
 # 2N for the Dirac operator.  The check is on that dimension, while the
@@ -197,10 +197,14 @@ def _dirac_sector(generator: np.ndarray, mass: float) -> np.ndarray:
     """Dirac ring operator sigma1 x M + m * sigma3 x 1 on a real generator sector M.
 
     The shift and the parity change of basis act alike on both spinor
-    components, so they carry the mass term over unchanged.
+    components, so they carry the mass term over unchanged: one zeroed array
+    takes M off the diagonal and +m, -m on it, in place.
     """
-    mass_term = mass * np.eye(len(generator))
-    return np.block([[mass_term, generator], [generator, -mass_term]])
+    size = len(generator)
+    matrix = np.zeros((2 * size, 2 * size))
+    matrix[:size, size:] = matrix[size:, :size] = generator
+    np.fill_diagonal(matrix, np.repeat((mass, -mass), size))
+    return matrix
 
 
 def ring_spectrum(spec: RingSpec, first_order: bool = True) -> np.ndarray:
@@ -254,10 +258,7 @@ def dirac_energies(mass: float, levels: np.ndarray) -> np.ndarray:
         edge = ~np.isfinite(squares) | (squares < np.finfo(np.float64).tiny)
         energies[edge] = np.hypot(mass, levels[edge])
     if not np.all(np.isfinite(energies)):
-        raise DomainError(
-            f"Dirac energy sqrt(m^2 + e_n^2) overflows float64 at m = {mass!r}, "
-            f"max |e_n| = {float(np.max(np.abs(levels)))!r}"
-        )
+        raise DomainError(f"Dirac energy sqrt(m^2 + e_n^2) overflows float64 at m = {mass!r}")
     return energies
 
 
@@ -270,8 +271,15 @@ def ring_modes(spec: RingSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     (see _group_levels), which is where the degeneracy lifting between the
     two structures becomes visible; within a level the rows go by n, so
     rounding cannot swap the rows of a degenerate pair.  The twist is
-    spec.twist; STRUCTURE_TWIST gives a structure's.
+    spec.twist; STRUCTURE_TWIST gives a structure's.  An energy that
+    overflows float64 on the analytic levels is refused before the
+    eigensolve, naming the inputs.
     """
+    if not math.isfinite(math.hypot(spec.mass, np.max(np.abs(analytic_levels(spec))))):
+        raise DomainError(
+            f"Dirac energy sqrt(m^2 + e_n^2) overflows float64 at m = {spec.mass!r}, "
+            f"N = {spec.sites}, L = {spec.circumference!r}, twist = {spec.twist!r}"
+        )
     levels = ring_spectrum(spec)
     modes = mode_indices(spec)
     energies = dirac_energies(spec.mass, levels)

@@ -37,10 +37,9 @@ map_checks lists every phase-map residual and the kernel pair as (key,
 value, bound) from one half phase and one multiplier, the one list of
 bounds that map-check and verify's sections suite both read.  Plane-wave
 kernel modes of D_plus at ring momentum q sit at E = sqrt(m^2 + (q +
-(s/2)*k3)^2); relative to the closed dispersion form elsewhere in this
-package this is the opposite shift sign at half magnitude, which is a pure
-labelling convention (flip the winding to swap them) and is pinned here so
-the residuals vanish with U = e^{i theta/2} literally.
+c*k3)^2), c = shift_coefficient(s): the closed form's minus branch at c
+(see WindingGradient).  The sign is a labelling convention (flip the
+winding to swap it), pinned so the residuals vanish with U = e^{i theta/2}.
 """
 
 from __future__ import annotations
@@ -55,7 +54,13 @@ import numpy as np
 from .dispersion import Structure
 from .errors import DomainError
 from .gamma import GAMMA0, GAMMA3
-from .winding import ThetaField, WindingGradient, gradient_field, pointwise_gradient
+from .winding import (
+    ThetaField,
+    WindingGradient,
+    gradient_field,
+    pointwise_gradient,
+    shift_coefficient,
+)
 
 __all__ = [
     "SampledSection",
@@ -265,14 +270,14 @@ def intertwining_residual(
 def commutation_residual(
     section: SampledSection, field: WindingGradient, phase: HalfWindingPhase
 ) -> float:
-    """Sup-norm commutator of the phase with the induced multiplier.
+    """Sup-norm commutator of the phase with the multiplier -c*k3, c = field.scale.
 
     The multiplier is a constant matrix times a pointwise factor, so it
     commutes with multiplication by U up to rounding; with zero winding both
     sides are identically zero and the residual is exactly 0.0.
     """
     _check_grid(section, phase)
-    multiplier = -0.5 * field.scale * field.k[2]
+    multiplier = -field.scale * field.k[2]
     shifted = multiplier * (section.values @ GAMMA3.T)
     lhs = shifted * phase.values[:, None]
     rhs = multiplier * ((section.values * phase.values[:, None]) @ GAMMA3.T)
@@ -361,23 +366,23 @@ def kernel_mode(
     """Exact plane-wave kernel element of D_plus at convention scale s.
 
     Returns an exotic section at ring harmonic n together with the on-shell
-    energy E = sqrt(m^2 + q_eff^2), q_eff = 2*pi*n/L + (s/2)*k3.  The spinor
-    is column 0 of the on-shell projector E*g0 - q_eff*g3 + m, normalized:
-    its norm, sqrt(2E(E + m)), is the largest of the four columns'.  At
-    E = m = 0 the projector vanishes and every spinor is in the kernel, so
-    the spinor is e_0.  Applying D_plus at that energy annihilates the
-    section up to rounding.  The norm is taken of the column scaled to its
-    largest entry where its sum of squares would overflow or be subnormal,
-    so a column above ~1e154 still normalizes to a unit spinor.  A mass that
-    is negative or not finite, a scale that is not finite, and an energy
-    that overflows float64, are a DomainError.
+    energy E = sqrt(m^2 + q_eff^2), q_eff = 2*pi*n/L + c*k3 with c =
+    shift_coefficient(s).  The spinor is column 0 of the on-shell projector
+    E*g0 - q_eff*g3 + m, normalized: its norm, sqrt(2E(E + m)), is the
+    largest of the four columns'.  At E = m = 0 the projector vanishes and
+    every spinor is in the kernel, so the spinor is e_0.  Applying D_plus at
+    that energy annihilates the section up to rounding.  The norm is taken
+    of the column scaled to its largest entry where its sum of squares would
+    overflow or be subnormal, so a column above ~1e154 still normalizes to a
+    unit spinor.  A mass that is negative or not finite, a scale that is not
+    finite, and an energy that overflows float64, are a DomainError.
     """
     _check_mass(mass)
     if not math.isfinite(scale):
         raise DomainError("scale must be finite")
     q = 2.0 * math.pi * harmonic / theta.circumference
     k3 = float(np.mean(pointwise_gradient(theta)))
-    q_eff = q + 0.5 * scale * k3
+    q_eff = q + shift_coefficient(scale) * k3
     try:
         energy = math.sqrt(mass**2 + q_eff**2)
     except OverflowError:
@@ -428,13 +433,13 @@ def map_checks(
     # array is scaled or a section scanned
     mode, energy = kernel_mode(theta, mass, harmonic, scale)
     phase = half_phase(theta)
-    multiplier = -0.5 * scale * pointwise_gradient(theta)
+    field = gradient_field(theta, scale=shift_coefficient(scale))
+    multiplier = -field.scale * pointwise_gradient(theta)
     length = theta.circumference
     kernel = (
         grid_norm(dirac(mode, mass, energy, multiplier).values, length),
         grid_norm(dirac(to_standard(mode, phase), mass, energy).values, length),
     )
-    field = gradient_field(theta, scale=scale)
     worst = dict.fromkeys(_MAP_BOUNDS, 0.0)
     for section in sections:
         back = to_exotic(to_standard(section, phase), phase)

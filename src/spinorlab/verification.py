@@ -36,8 +36,10 @@ from .winding import (
     WindingGradient,
     build_theta,
     gradient_field,
+    holonomy,
     involute,
     involuted,
+    shift_coefficient,
     wrap_angle,
 )
 
@@ -51,14 +53,11 @@ class Check:
 
 def winding_checks(seed: int = 7) -> list[Check]:
     checks = []
-    field = gradient_field(build_theta(64, 1.0, 1))
-    err = abs(field.holonomy - TWO_PI)
+    err = abs(holonomy(build_theta(64, 1.0, 1)) - TWO_PI)
     checks.append(Check("holonomy-wound", err <= 1e-10, f"|holonomy - 2pi| = {err:.3g}"))
 
-    flat = gradient_field(build_theta(64, 1.0, 0))
-    checks.append(
-        Check("holonomy-flat", flat.holonomy == 0.0, f"holonomy = {flat.holonomy!r}")
-    )
+    flat = holonomy(build_theta(64, 1.0, 0))
+    checks.append(Check("holonomy-flat", flat == 0.0, f"holonomy = {flat!r}"))
 
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -66,8 +65,8 @@ def winding_checks(seed: int = 7) -> list[Check]:
         sites = int(rng.integers(8, 128))
         length = float(rng.uniform(0.5, 20.0))
         winding = int(rng.integers(-3, 4))
-        field = gradient_field(build_theta(sites, length, winding))
-        worst = max(worst, abs(field.holonomy - TWO_PI * winding) / (1.0 + abs(winding)))
+        loop = holonomy(build_theta(sites, length, winding))
+        worst = max(worst, abs(loop - TWO_PI * winding) / (1.0 + abs(winding)))
     checks.append(Check("holonomy-random", worst <= 1e-10, f"worst scaled error {worst:.3g}"))
 
     theta = build_theta(48, 3.0, 2)
@@ -83,7 +82,7 @@ def winding_checks(seed: int = 7) -> list[Check]:
 
 def dispersion_checks(samples: int = 400, seed: int = 11) -> list[Check]:
     checks = []
-    probe = WindingGradient(k=np.array([0.0, 0.0, 0.01]), holonomy=0.02 * math.pi, scale=1.0)
+    probe = WindingGradient(k=np.array([0.0, 0.0, 0.01]), scale=1.0)
     frozen = branch_energies(1.0, [[0.0, 0.0, 0.5]], probe.k, probe.scale)
     e_plus = float(frozen.semiclassical_plus[0])
     e_minus = float(frozen.semiclassical_minus[0])
@@ -117,7 +116,7 @@ def dispersion_checks(samples: int = 400, seed: int = 11) -> list[Check]:
     # preferred_branch is degenerate exactly inside the band |s(k.p)| <= tol
     tols = default_degeneracy_tol(momenta).tolist()
     for p, k, shift, tol in zip(momenta, ks, energies.signed_shift.tolist(), tols):
-        field = WindingGradient(k=k, holonomy=float(k[2]))
+        field = WindingGradient(k=k)
         degenerate = preferred_branch(field, p, tol) is Preference.DEGENERATE
         violations += degenerate != (abs(shift) <= tol)
     predicted = 2.0 * kp / np.sqrt(energies.rest)
@@ -150,7 +149,7 @@ def dispersion_checks(samples: int = 400, seed: int = 11) -> list[Check]:
     p = np.array([0.0, 0.0, 1.0])
     tol = default_degeneracy_tol(p)
     for kz, inside in ((0.0, True), (0.4 * tol, True), (3.0 * tol, False)):
-        field = WindingGradient(k=np.array([0.0, 0.0, kz]), holonomy=kz)
+        field = WindingGradient(k=np.array([0.0, 0.0, kz]))
         ok = ok and (preferred_branch(field, p, tol) is Preference.DEGENERATE) == inside
     checks.append(Check("perpendicular-degenerate", ok, f"k.p = 0 classified {pref.value}"))
     return checks
@@ -242,7 +241,7 @@ def algebra_checks() -> list[Check]:
 
 def chains_checks() -> list[Check]:
     checks = []
-    up = WindingGradient(k=np.array([0.0, 0.0, 1.0]), holonomy=TWO_PI)
+    up = WindingGradient(k=np.array([0.0, 0.0, 1.0]))
     momentum = np.array([0.0, 0.0, 0.5])
     dot = magma.DOT
 
@@ -272,7 +271,7 @@ def chains_checks() -> list[Check]:
     )
     ok = trace[0].table == "prefer_exotic" and trace[1].table == "prefer_standard"
     restored = involuted(involuted(up))
-    ok = ok and np.array_equal(restored.k, up.k) and restored.holonomy == up.holonomy
+    ok = ok and np.array_equal(restored.k, up.k) and restored.scale == up.scale
     checks.append(Check("chain-double-involution", ok, "two flips restore the table"))
 
     perp = chains.select_table(up, np.array([1.0, 0.0, 0.0]))
@@ -320,27 +319,16 @@ def lattice_deviation(spec: RingSpec, field: WindingGradient) -> float:
     The lattice side takes the numerical momentum levels e_n and forms
     sqrt(m^2 + e_n^2).  The continuum side evaluates the closed form on the
     integer-quantized base momenta 2*pi*n/L with the branch that adds the
-    field shift s*k3 (the standard branch when the shift is zero).  Both
-    lists are sorted and compared elementwise.  The caller matches s*k3 to
-    the twist (a pi/L shift for twist pi); a mismatch is exactly what the
-    deviation exposes.  The field must point along the ring, and one whose
-    holonomy and k3 imply another circumference than the lattice's is
-    rejected.
+    field shift c*k3 (the standard branch when the shift is zero).  Both
+    sorted lists are compared elementwise, so a twist other than c*k3*L
+    (see WindingGradient) shows as a deviation.  k must be along the ring.
     """
     if field.k[0] != 0.0 or field.k[1] != 0.0:
         raise DomainError("field must point along the ring")
-    k3 = float(field.k[2])
-    length = spec.circumference
-    if k3 != 0.0:
-        implied = field.holonomy / k3
-        if abs(implied - length) > 1e-9 * length:
-            raise DomainError(
-                f"field implies circumference {implied:.12g}, lattice has {length:.12g}"
-            )
     lattice = np.sort(dirac_energies(spec.mass, ring_spectrum(spec)))
-    ring_momenta = TWO_PI * mode_indices(spec) / length
+    ring_momenta = TWO_PI * mode_indices(spec) / spec.circumference
     momenta = np.column_stack((np.zeros((len(ring_momenta), 2)), ring_momenta))
-    # the minus branch adds s*k3; with no shift it is the standard branch
+    # the minus branch adds c*k3; with no shift it is the standard branch
     energies = branch_energies(spec.mass, momenta, field.k, field.scale, "exact")
     return float(np.max(np.abs(lattice - np.sort(energies.exact_minus))))
 
@@ -376,8 +364,8 @@ def lattice_checks() -> list[Check]:
     sym = float(np.max(np.abs(values + values[::-1])))
     checks.append(Check("charge-symmetry", sym <= 1e-12, f"E -> -E asymmetry {sym:.3g}"))
 
-    half_integer = RingSpec(sites=8, circumference=TWO_PI, twist=math.pi, mass=1.0)
-    field = gradient_field(build_theta(8, TWO_PI, 1), scale=0.5)
+    half_integer = RingSpec(8, TWO_PI, STRUCTURE_TWIST[Structure.EXOTIC], 1.0)
+    field = gradient_field(build_theta(8, TWO_PI, 1), scale=shift_coefficient(1.0))
     deviation = lattice_deviation(half_integer, field)
     checks.append(
         Check("lattice-vs-closed-form", deviation <= 1e-12, f"max deviation {deviation:.3g}")

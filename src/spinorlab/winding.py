@@ -64,7 +64,7 @@ class ThetaField:
         if self.winding != int(self.winding):
             raise DomainError("winding must be an integer")
         object.__setattr__(self, "winding", int(self.winding))
-        total = float(np.sum(circuit_increments(samples)))
+        total = holonomy(self)
         target = TWO_PI * self.winding
         if abs(total - target) > 1e-9 * (1.0 + abs(self.winding)):
             raise DomainError(
@@ -76,18 +76,23 @@ class ThetaField:
         return int(self.samples.size)
 
 
+def shift_coefficient(scale: float) -> float:
+    """Shift coefficient c = s/2 at convention scale s: the half of the half phase."""
+    return 0.5 * scale
+
+
 @dataclass(frozen=True)
 class WindingGradient:
-    """Constant gradient data extracted from a winding field.
+    """Constant winding gradient k and the coefficient c = scale of its shift c*k.
 
-    k is a 3-vector along the ring axis (components 0 and 1 are transverse
-    and vanish for fields built here); holonomy is the loop integral of the
-    gradient; scale is a dimensionless convention knob multiplying k wherever
-    it enters an energy shift.
+    k is a 3-vector along the ring axis (components 0 and 1 vanish for fields
+    built here); scale is c in every module.  Three conventions give the
+    same energies mode by mode: the closed form (dispersion) at c, the ring
+    (lattice) with twist c*k3*L, and D_plus (sections) at convention scale
+    s = 2c, where c = shift_coefficient(s).
     """
 
     k: np.ndarray
-    holonomy: float
     scale: float = 1.0
 
     def __post_init__(self) -> None:
@@ -95,7 +100,7 @@ class WindingGradient:
         object.__setattr__(self, "k", k)
         if k.shape != (3,):
             raise DomainError("k must be a 3-vector")
-        if not np.all(np.isfinite(k)) or not math.isfinite(self.holonomy):
+        if not np.all(np.isfinite(k)):
             raise DomainError("gradient data must be finite")
         if not math.isfinite(self.scale):
             raise DomainError("scale must be finite")
@@ -130,20 +135,15 @@ def build_theta(sites: int, circumference: float, winding: int) -> ThetaField:
     return theta
 
 
-def gradient_field(theta: ThetaField, scale: float = 1.0) -> WindingGradient:
-    """Extract the ring-direction gradient and its holonomy.
+def holonomy(theta: ThetaField) -> float:
+    """Loop integral of the gradient, the sum of wrapped increments (0.0 at w = 0)."""
+    return float(np.sum(circuit_increments(theta.samples)))
 
-    The gradient is sampled as wrapped forward differences over the grid
-    spacing and the holonomy is its trapezoidal loop integral, which for the
-    uniform periodic grid is exactly the sum of wrapped increments, which
-    ThetaField holds to 2*pi*w within 1e-9*(1+|w|) (they telescope, so only
-    rounding separates them); for w = 0 ramps it is exactly 0.0.
-    """
-    holonomy = float(np.sum(circuit_increments(theta.samples)))
-    k_ring = holonomy / theta.circumference
-    return WindingGradient(
-        k=np.array([0.0, 0.0, k_ring]), holonomy=holonomy, scale=float(scale)
-    )
+
+def gradient_field(theta: ThetaField, scale: float = 1.0) -> WindingGradient:
+    """The ring-direction gradient holonomy/L, with shift coefficient scale."""
+    k_ring = holonomy(theta) / theta.circumference
+    return WindingGradient(k=np.array([0.0, 0.0, k_ring]), scale=float(scale))
 
 
 def involute(theta: ThetaField) -> ThetaField:
@@ -159,8 +159,8 @@ def involute(theta: ThetaField) -> ThetaField:
 
 
 def involuted(field: WindingGradient) -> WindingGradient:
-    """Gradient-level involution: flips k and the holonomy, keeps the scale."""
-    return WindingGradient(k=-field.k, holonomy=-field.holonomy, scale=field.scale)
+    """Gradient-level involution: flips k, keeps the scale."""
+    return WindingGradient(k=-field.k, scale=field.scale)
 
 
 def pointwise_gradient(theta: ThetaField) -> np.ndarray:

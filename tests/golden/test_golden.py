@@ -18,11 +18,10 @@ Comparison rules:
 * `map-check`: the same exit code, stderr, parameters, keys and `passed`,
   and each residual on the same side of its bound (MAP_CHECK_BOUNDS).
   The residuals are FFT rounding, so only their verdicts are pinned;
-* `ring-spectrum`: the same exit code, parameters, n, multiplicity and row
-  order, and stderr, and each e_n and energy within RING_RTOL * (pi*N +
-  |twist|)/L of the expected value (CSV: plus one unit in its 12th
-  significant digit); so is the largest level that an overflow error
-  echoes in stderr.  The levels are eigensolver rounding below that.
+* `ring-spectrum`: the same exit code, stderr, parameters, n,
+  multiplicity and row order, and each e_n and energy within RING_RTOL *
+  (pi*N + |twist|)/L of the expected value (CSV: plus one unit in its 12th
+  significant digit).  The levels are eigensolver rounding below that.
 
 Adding a case (it refuses a name that already has an expected file):
 
@@ -37,7 +36,6 @@ import io
 import json
 import math
 import os
-import re
 import sys
 import tempfile
 from pathlib import Path
@@ -65,15 +63,14 @@ MAP_CHECK_BOUNDS = {
 # ring-spectrum's e_n and energy may move by this much of the top level
 RING_RTOL = 2e-14
 RING_VALUES = ("e_n", "energy")
-# the largest level, which lattice.dirac_energies echoes when an energy overflows
-ECHOED_LEVEL = re.compile(r"(?<=max \|e_n\| = )\S+")
 
 
 def run_case(argv: list[str]) -> tuple[int, str, str]:
     """Run one argv in process: (exit code, stdout then the --out file, stderr)."""
     with contextlib.ExitStack() as stack:
         target = Path(stack.enter_context(tempfile.TemporaryDirectory())) / "report"
-        stack.enter_context(contextlib.chdir(GOLDEN))
+        stack.callback(os.chdir, os.getcwd())
+        os.chdir(GOLDEN)
         # argparse wraps its usage lines at the terminal width
         stack.enter_context(mock.patch.dict(os.environ, {"COLUMNS": "80"}))
         out = stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
@@ -128,15 +125,13 @@ def _comparable(argv: list[str], output: str):
     return document
 
 
-def _ring_spectrum_parts(output: str, stderr: str):
-    """A ring-spectrum run as (the part pinned exactly, [(value, its print's rounding unit)]).
+def _ring_spectrum_parts(output: str):
+    """A ring-spectrum output as (the part pinned exactly, [(value, its print's rounding unit)]).
 
-    The values are each row's e_n and energy, and the largest level that an
-    overflow error echoes in stderr.  A CSV value's unit is one in its 12th
-    significant digit; every other value prints in full (unit 0).
+    The values are each row's e_n and energy.  A CSV value's unit is one in
+    its 12th significant digit; a JSON value prints in full (unit 0).
     """
-    pinned = [ECHOED_LEVEL.sub("", stderr)]
-    values = [(float(level), 0.0) for level in ECHOED_LEVEL.findall(stderr)]
+    pinned, values = [], []
     if output.startswith("{"):
         document = json.loads(output)
         values += [(row.pop(key), 0.0) for row in document["rows"] for key in RING_VALUES]
@@ -167,9 +162,9 @@ def _ring_bound(argv: list[str]) -> float:
     return RING_RTOL * (math.pi * sites + abs(twist)) / length
 
 
-def _assert_ring_spectrum_close(argv, output, stderr, expected, expected_stderr) -> None:
-    pinned, values = _ring_spectrum_parts(output, stderr)
-    expected_pinned, expected_values = _ring_spectrum_parts(expected, expected_stderr)
+def _assert_ring_spectrum_close(argv, output, expected) -> None:
+    pinned, values = _ring_spectrum_parts(output)
+    expected_pinned, expected_values = _ring_spectrum_parts(expected)
     assert pinned == expected_pinned
     bound = _ring_bound(argv) if expected_values else 0.0
     for (value, _), (reference, unit) in zip(values, expected_values, strict=True):
@@ -184,11 +179,10 @@ def _cases() -> list[dict]:
 def test_golden_case(case):
     code, output, stderr = run_case(case["argv"])
     expected = (EXPECTED / f"{case['name']}.out").read_text()
+    assert (code, stderr) == (case["exit"], case["stderr"])
     if case["argv"][:1] == ["ring-spectrum"]:
-        assert code == case["exit"]
-        _assert_ring_spectrum_close(case["argv"], output, stderr, expected, case["stderr"])
+        _assert_ring_spectrum_close(case["argv"], output, expected)
     else:
-        assert (code, stderr) == (case["exit"], case["stderr"])
         assert _comparable(case["argv"], output) == _comparable(case["argv"], expected)
 
 

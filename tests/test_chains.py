@@ -14,7 +14,7 @@ BA = "(b,a)"
 
 
 def _field(kz, scale=1.0):
-    return WindingGradient(k=np.array([0.0, 0.0, kz]), holonomy=kz, scale=scale)
+    return WindingGradient(k=np.array([0.0, 0.0, kz]), scale=scale)
 
 
 P = np.array([0.0, 0.0, 0.5])
@@ -172,7 +172,7 @@ def test_mirrored_table_matches_flipping_the_field(k, p, perpendicular, scale, t
     if perpendicular:
         # k along the ring, p transverse to it: s*(k.p) is exactly 0
         k[:2], p[2] = 0.0, 0.0
-    field = WindingGradient(k=k, holonomy=float(k[2]), scale=scale)
+    field = WindingGradient(k=k, scale=scale)
     table = select_table(field, p, tol)
     labels = st.sampled_from(_CARRIERS[table])
     initial = data.draw(labels, label="initial")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinorlab import cli
+from spinorlab import cli, lattice
 from spinorlab.cli import main
 from spinorlab.dispersion import branch_energies
 from spinorlab.sections import map_checks, random_band_limited_section, section_to_json
@@ -392,6 +392,23 @@ def test_ring_spectrum_rejects_a_negative_count_before_the_eigensolve(capsys, mo
     assert code == 3
     assert out == ""
     assert "--count must be non-negative" in err
+
+
+def test_ring_spectrum_rejects_an_overflowing_energy_before_the_eigensolve(capsys, monkeypatch):
+    # the message names the inputs only, so it reads the same under any
+    # BLAS thread count
+    def refuse(*args, **kwargs):
+        raise AssertionError("ring_spectrum called")
+
+    monkeypatch.setattr(lattice, "ring_spectrum", refuse)
+    argv = ("--sites", "4096", "--length", "1", "--twist", "8e307", "--m", "1.7e308")
+    code, out, err = run(capsys, "ring-spectrum", *argv)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: Dirac energy sqrt(m^2 + e_n^2) overflows float64 at m = 1.7e+308, "
+        "N = 4096, L = 1.0, twist = 8e+307\n"
+    )
 
 
 @pytest.mark.parametrize("winding", ["4", "-4"])

@@ -24,7 +24,7 @@ from spinorlab.winding import WindingGradient
 # reference point: m = 1, p = (0, 0, 0.5), k = (0, 0, 0.01), scale = 1
 MASS = 1.0
 MOMENTUM = (0.0, 0.0, 0.5)
-FIELD = WindingGradient(k=np.array([0.0, 0.0, 0.01]), holonomy=0.01 * 2.0 * math.pi)
+FIELD = WindingGradient(k=np.array([0.0, 0.0, 0.01]))
 
 # values frozen before implementation, worked out by hand from the closed forms
 SEMI_PLUS = 1.2475
@@ -63,7 +63,7 @@ def test_exact_branch_is_shifted_free_dispersion():
         m = float(rng.uniform(0.1, 3.0))
         p = rng.uniform(-2.0, 2.0, 3)
         k = rng.uniform(-0.05, 0.05, 3)
-        field = WindingGradient(k=k, holonomy=float(k[2]))
+        field = WindingGradient(k=k)
         scale = field.scale
         energies = _one_row(m, p, field, "exact")
         e_plus, e_minus = energies.exact_plus[0], energies.exact_minus[0]
@@ -82,7 +82,7 @@ def test_gap_sign_tracks_alignment():
         p = rng.uniform(-2.0, 2.0, 3)
         k = rng.uniform(-1.0, 1.0, 3)
         k *= 1e-2 * (np.linalg.norm(p) + m) / max(np.linalg.norm(k), 1e-300)
-        field = WindingGradient(k=k, holonomy=float(k[2]))
+        field = WindingGradient(k=k)
         align = float(np.dot(k, p))
         energies = _one_row(m, p, field)
         for gap in (energies.signed_shift[0], energies.gap_exact[0]):
@@ -91,14 +91,14 @@ def test_gap_sign_tracks_alignment():
 
 
 def test_gap_closes_when_orthogonal():
-    field = WindingGradient(k=np.array([0.01, 0.0, 0.0]), holonomy=0.0)
+    field = WindingGradient(k=np.array([0.01, 0.0, 0.0]))
     energies = _one_row(1.0, [0.0, 0.3, 0.4], field)
     assert energies.signed_shift[0] == 0.0
     assert abs(energies.gap_exact[0]) <= 1e-15
 
 
 def test_branches_collapse_without_gradient():
-    flat = WindingGradient(k=np.zeros(3), holonomy=0.0)
+    flat = WindingGradient(k=np.zeros(3))
     rng = np.random.default_rng(5)
     for _ in range(100):
         m = float(rng.uniform(0.1, 2.0))
@@ -111,14 +111,14 @@ def test_branches_collapse_without_gradient():
 
 
 def test_scale_knob_scales_the_shift():
-    field = WindingGradient(k=np.array([0.0, 0.0, 0.01]), holonomy=0.01, scale=0.5)
+    field = WindingGradient(k=np.array([0.0, 0.0, 0.01]), scale=0.5)
     assert _one_row(MASS, MOMENTUM, field, "exact").exact_minus[0] == pytest.approx(
         math.sqrt(1.0 + 0.505**2), abs=1e-14
     )
 
 
 def test_semiclassical_needs_nonzero_energy_scale():
-    flat = WindingGradient(k=np.array([0.0, 0.0, 0.01]), holonomy=0.01)
+    flat = WindingGradient(k=np.array([0.0, 0.0, 0.01]))
     with pytest.raises(DomainError):
         _one_row(0.0, np.zeros(3), flat, "semiclassical")
     # the exact form is fine there
@@ -129,14 +129,14 @@ def test_preferred_branch():
     p = np.array(MOMENTUM)
     assert preferred_branch(FIELD, p) is Preference.PREFER_PLUS
     assert preferred_branch(involuted_field(FIELD), p) is Preference.PREFER_MINUS
-    flat = WindingGradient(k=np.zeros(3), holonomy=0.0)
+    flat = WindingGradient(k=np.zeros(3))
     assert preferred_branch(flat, p) is Preference.DEGENERATE
     with pytest.raises(DomainError):
         preferred_branch(FIELD, p, tol=0.0)
 
 
 def involuted_field(field):
-    return WindingGradient(k=-field.k, holonomy=-field.holonomy, scale=field.scale)
+    return WindingGradient(k=-field.k, scale=field.scale)
 
 
 def test_default_tol_tracks_energy_scale():
@@ -311,7 +311,7 @@ def test_scalar_overflow_is_a_domain_error():
             _one_row(1.0, [0.0, 0.0, 1e200], FIELD, formula)
     # the semiclassical formula alone never forms |p -+ s*k|^2, so a huge
     # gradient that overflows the exact energies does not stop it
-    steep = WindingGradient(k=np.array([0.0, 0.0, 1e160]), holonomy=0.0)
+    steep = WindingGradient(k=np.array([0.0, 0.0, 1e160]))
     semi = branch_energies(1.0, np.array([[0.0, 0.0, 1.0]]), steep.k, formula="semiclassical")
     assert semi.semiclassical_plus[0] == pytest.approx(2.0 - 0.5e160)
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spinorlab import lattice
 from spinorlab.dispersion import Structure, branch_energies
 from spinorlab.errors import DomainError
 from spinorlab.lattice import (
@@ -26,7 +27,7 @@ from spinorlab.lattice import (
     ring_spectrum,
 )
 from spinorlab.sections import kernel_mode
-from spinorlab.winding import build_theta, gradient_field
+from spinorlab.winding import build_theta, gradient_field, holonomy, shift_coefficient
 
 TWO_PI = 2.0 * math.pi
 
@@ -153,6 +154,10 @@ def test_parity_basis_makes_the_generator_real_symmetric(sites, twist):
     dirac = np.kron(sigma1, circulant) + spec.mass * np.kron(sigma3, np.eye(sites))
     spinor_basis = np.hstack([np.kron(np.eye(2), sector_basis) for sector_basis in bases])
     dirac_sectors = [_dirac_sector(sector, spec.mass) for sector in sectors]
+    mass_term = spec.mass * np.eye(sites // 2)
+    for sector, dirac_sector in zip(sectors, dirac_sectors):
+        expected = np.block([[mass_term, sector], [sector, -mass_term]])
+        assert np.array_equal(dirac_sector, expected)
     for sector in dirac_sectors:
         assert sector.dtype == np.float64 and np.array_equal(sector, sector.T)
     norm = np.linalg.norm(dirac, 2)
@@ -183,7 +188,9 @@ def test_sector_split_matches_the_analytic_spectrum(half, length, twist, mass):
 @pytest.mark.parametrize("sites", [512, 1026])
 def test_no_operator_is_built_at_full_dimension(monkeypatch, sites):
     # eigvalsh sees the two sectors only, and no array the size of the
-    # operator (8 N^2 bytes for the generator, 32 N^2 for Dirac) is allocated
+    # operator (8 N^2 bytes for the generator, 32 N^2 for Dirac) is
+    # allocated; a Dirac sector (8 N^2) is filled in place, with no mass
+    # blocks alive beside it, so that path peaks below 1.5 sectors
     shapes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -193,7 +200,7 @@ def test_no_operator_is_built_at_full_dimension(monkeypatch, sites):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recorder)
     spec = RingSpec(sites=sites, circumference=2.0, twist=1.1, mass=0.5)
-    for first_order, dimension in ((True, sites), (False, 2 * sites)):
+    for first_order, dimension, bound in ((True, sites, 8), (False, 2 * sites, 3)):
         shapes.clear()
         tracemalloc.start()
         try:
@@ -202,7 +209,7 @@ def test_no_operator_is_built_at_full_dimension(monkeypatch, sites):
         finally:
             tracemalloc.stop()
         assert shapes == [(dimension // 2, dimension // 2)] * 2
-        assert peak < 8 * dimension**2
+        assert peak < bound * dimension**2
 
 
 def test_dense_dimension_is_bounded():
@@ -238,6 +245,20 @@ def test_dirac_energies_are_the_closed_form_and_refuse_overflow():
     # only an energy above float64 is refused
     with pytest.raises(DomainError, match=r"sqrt\(m\^2 \+ e_n\^2\) overflows float64"):
         dirac_energies(1.7e308, np.array([8e307]))
+
+
+def test_ring_modes_refuses_an_overflowing_energy_on_the_exact_levels(monkeypatch):
+    # at twist pi the largest |e_n| is pi*(N - 1)/L, one level inside the
+    # (pi*N + |twist|)/L that RingSpec checks: that ring is solved at
+    # m = 1.3e308 and refused, by its inputs, at m = 1.5e308
+    monkeypatch.setattr(lattice, "ring_spectrum", analytic_levels)
+    edge = RingSpec(sites=8, circumference=2e-307, twist=math.pi, mass=1.3e308)
+    assert not math.isfinite(math.hypot(edge.mass, 9 * math.pi / edge.circumference))
+    _, _, energy, _ = ring_modes(edge)
+    assert np.max(energy) == math.hypot(edge.mass, 7 * math.pi / edge.circumference)
+    beyond = RingSpec(sites=8, circumference=2e-307, twist=math.pi, mass=1.5e308)
+    with pytest.raises(DomainError, match=r"m = 1\.5e\+308, N = 8, L = 2e-307, twist = 3\.14"):
+        ring_modes(beyond)
 
 
 FLOAT_MAX = Decimal(sys.float_info.max)
@@ -396,9 +417,9 @@ def test_positive_branch_agrees_with_dictionary():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_one_winding_shift_dictionary_for_three_conventions(data):
-    # At convention scale s the closed form shifts p3 by (s/2)*k3, the ring
-    # carries the twist (s/2) * holonomy, and D_plus at scale s shifts the
-    # harmonic by s*k3/2: the same energy, mode by mode.
+    # At convention scale s, with c = shift_coefficient(s), the closed form
+    # shifts p3 by c*k3, the ring carries the twist c * holonomy, and D_plus
+    # at scale s shifts the harmonic by c*k3: the same energy, mode by mode.
     half = data.draw(st.integers(2, 32), label="sites/2")
     sites = 2 * half
     length = data.draw(st.floats(0.1, 100.0), label="length")
@@ -406,9 +427,9 @@ def test_one_winding_shift_dictionary_for_three_conventions(data):
     scale = data.draw(st.floats(-4.0, 4.0), label="scale")
     mass = data.draw(st.floats(0.0, 5.0), label="mass")
     theta = build_theta(sites, length, winding)
-    field = gradient_field(theta, scale=scale / 2)
+    field = gradient_field(theta, scale=shift_coefficient(scale))
     spec = RingSpec(
-        sites=sites, circumference=length, twist=field.scale * field.holonomy, mass=mass
+        sites=sites, circumference=length, twist=field.scale * holonomy(theta), mass=mass
     )
     modes = mode_indices(spec)
     momenta = np.column_stack((np.zeros((sites, 2)), TWO_PI * modes / length))

@@ -1,7 +1,8 @@
+import dataclasses
 import inspect
 
 import spinorlab
-from spinorlab import chains, dispersion, lattice, sections
+from spinorlab import chains, dispersion, lattice, sections, winding
 
 
 def _defined_here(module) -> set[str]:
@@ -52,6 +53,26 @@ def test_one_dispersion_api_and_an_oracle_only_lattice():
         "mode_indices",
         "ring_modes",
         "ring_spectrum",
+    }
+
+
+def test_a_winding_gradient_is_k_and_its_shift_coefficient():
+    # no free holonomy rides along: holonomy(theta) computes it from the
+    # angle field, and shift_coefficient is the one conversion s -> c
+    fields = [field.name for field in dataclasses.fields(winding.WindingGradient)]
+    assert fields == ["k", "scale"]
+    assert _defined_here(winding) == {
+        "ThetaField",
+        "WindingGradient",
+        "build_theta",
+        "circuit_increments",
+        "gradient_field",
+        "holonomy",
+        "involute",
+        "involuted",
+        "pointwise_gradient",
+        "shift_coefficient",
+        "wrap_angle",
     }
 
 

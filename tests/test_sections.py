@@ -256,6 +256,22 @@ def test_commutation_residual_exact_zero_on_unit_ring():
     assert commutation_residual(section, field, half_phase(theta)) == 0.0
 
 
+def test_commutation_residual_multiplier_is_minus_the_shift_coefficient_times_k3():
+    # the field carries the shift coefficient c, so the multiplier is -c*k3
+    # unhalved; halving it is exact, and would read exactly half of this
+    theta = _theta(w=3)
+    phase = half_phase(theta)
+    section = random_band_limited_section(N, TWO_PI, np.random.default_rng(5))
+    field = gradient_field(theta, scale=0.5)
+    multiplier = -field.scale * field.k[2]
+    u = phase.values[:, None]
+    lhs = multiplier * (section.values @ GAMMA3.T) * u
+    rhs = multiplier * ((section.values * u) @ GAMMA3.T)
+    expected = float(np.max(np.abs(lhs - rhs)))
+    assert expected > 0.0
+    assert commutation_residual(section, field, phase) == expected
+
+
 def test_density_preserved_pointwise():
     theta = _theta(w=2)
     section = random_band_limited_section(N, TWO_PI, np.random.default_rng(4))

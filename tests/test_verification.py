@@ -16,7 +16,7 @@ from spinorlab.verification import (
     sections_checks,
     winding_checks,
 )
-from spinorlab.winding import WindingGradient, build_theta, gradient_field
+from spinorlab.winding import WindingGradient, build_theta, gradient_field, shift_coefficient
 
 TWO_PI = 2.0 * math.pi
 
@@ -52,10 +52,11 @@ def test_sections_suite_reads_the_shared_bound_list(monkeypatch):
 # --- lattice against the closed form ----------------------------------------
 
 
-def _aligned_field(scale=0.5):
-    # unit winding on the 2*pi ring gives k3 = 1; scale 0.5 puts the energy
-    # shift at pi/L, exactly the exotic boundary twist
-    return gradient_field(build_theta(64, TWO_PI, 1), scale=scale)
+def _aligned_field():
+    # unit winding on the 2*pi ring gives k3 = 1; the shift coefficient at
+    # convention scale 1, c = 1/2, puts the energy shift at pi/L, exactly
+    # the exotic boundary twist
+    return gradient_field(build_theta(64, TWO_PI, 1), scale=shift_coefficient(1.0))
 
 
 def test_lattice_deviation_matches_exotic_lattice():
@@ -70,7 +71,7 @@ def test_lattice_deviation_flags_twist_mismatch():
 
 def test_lattice_deviation_flat_field_standard_lattice():
     spec = RingSpec(sites=8, circumference=TWO_PI, twist=0.0, mass=1.0)
-    flat = WindingGradient(k=np.zeros(3), holonomy=0.0)
+    flat = WindingGradient(k=np.zeros(3))
     assert lattice_deviation(spec, flat) <= 1e-12
 
 
@@ -92,7 +93,7 @@ def _per_mode_deviation(spec, field):
         (8, math.pi, 1.0, _aligned_field()),
         (64, math.pi, 0.0, _aligned_field()),
         (32, 0.0, 0.7, _aligned_field()),
-        (16, 0.0, 0.0, WindingGradient(k=np.zeros(3), holonomy=0.0)),
+        (16, 0.0, 0.0, WindingGradient(k=np.zeros(3))),
     ],
     ids=["exotic-massive", "exotic-massless", "twist-mismatch", "flat"],
 )
@@ -104,15 +105,8 @@ def test_lattice_deviation_matches_the_per_mode_loop(sites, twist, mass, field):
     assert abs(lattice_deviation(spec, field) - reference) <= 4 * 2.0**-52 * energy
 
 
-def test_lattice_deviation_rejects_wrong_circumference():
-    spec = RingSpec(sites=8, circumference=TWO_PI, twist=math.pi, mass=1.0)
-    bad = WindingGradient(k=np.array([0.0, 0.0, 2.0]), holonomy=TWO_PI, scale=0.5)
-    with pytest.raises(DomainError, match="implies circumference"):
-        lattice_deviation(spec, bad)
-
-
 def test_lattice_deviation_rejects_transverse_field():
     spec = RingSpec(sites=8, circumference=TWO_PI, twist=0.0, mass=1.0)
-    sideways = WindingGradient(k=np.array([1.0, 0.0, 0.0]), holonomy=0.0)
+    sideways = WindingGradient(k=np.array([1.0, 0.0, 0.0]))
     with pytest.raises(DomainError, match="along the ring"):
         lattice_deviation(spec, sideways)
