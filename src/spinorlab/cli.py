@@ -42,7 +42,7 @@ from .dispersion import (
     preferred_branch,
     signed_shift,
 )
-from .errors import DomainError
+from .errors import DomainError, check_finite, check_non_negative
 from .lattice import STRUCTURE_TWIST, RingSpec, ring_modes
 from .magma import BUILTIN_NAMES, FiniteMagma, analyze, builtin, compose, from_json
 from .sections import map_checks, random_band_limited_section, section_from_json
@@ -307,10 +307,8 @@ def _run_sweep(options: dict) -> Report:
     p_transverse = _parse_vector(options["p_transverse"], 2, "--p-transverse")
     start, stop = options["p3_min"], options["p3_max"]
     count = options["count"]
-    if count < 0:
-        raise DomainError("--count must be non-negative")
-    if not (np.all(np.isfinite(p_transverse)) and math.isfinite(start) and math.isfinite(stop)):
-        raise DomainError("momentum must be finite")
+    check_non_negative("--count", count)
+    check_finite("momentum", p_transverse, start, stop)
     if not math.isfinite(stop - start):
         raise DomainError("--p3-max - --p3-min overflows float64")
     parameters = {
@@ -369,8 +367,8 @@ def _run_ring_spectrum(options: dict) -> Report:
     if twist is None:
         # --structure defaults to None so that the check above sees it unset
         twist = STRUCTURE_TWIST[Structure(structure or "standard")]
-    if count is not None and count < 0:
-        raise DomainError("--count must be non-negative")
+    if count is not None:
+        check_non_negative("--count", count)
     spec = RingSpec(sites=sites, circumference=length, twist=twist, mass=mass)
     columns = [column[:count].tolist() for column in ring_modes(spec)]
     parameters = {
@@ -391,10 +389,8 @@ def _run_map_check(options: dict) -> Report:
     mass = options["m"]
     draws = options["sections"]
     seed = options["seed"]
-    if draws < 0:
-        raise DomainError("--sections must be non-negative")
-    if seed < 0:
-        raise DomainError("--seed must be non-negative")
+    check_non_negative("--sections", draws)
+    check_non_negative("--seed", seed)
     scale = _resolve(options, "scale", 1.0)
     tol = _resolve(options, "tol", None)
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, as_3vector, check_finite, check_mass
 from .winding import WindingGradient
 
 
@@ -57,14 +57,9 @@ class ModeSpec:
     branch: Branch
 
     def __post_init__(self) -> None:
-        momentum = np.asarray(self.momentum, dtype=float)
-        object.__setattr__(self, "momentum", momentum)
-        if momentum.shape != (3,):
-            raise DomainError("momentum must be a 3-vector")
-        if not np.all(np.isfinite(momentum)):
-            raise DomainError("momentum must be finite")
-        if not math.isfinite(self.mass) or self.mass < 0.0:
-            raise DomainError("mass must be finite and non-negative")
+        object.__setattr__(self, "momentum", as_3vector("momentum", self.momentum))
+        check_finite("momentum", self.momentum)
+        check_mass(self.mass)
         if not isinstance(self.branch, Branch):
             raise DomainError("branch must be a Branch value")
 
@@ -155,20 +150,16 @@ def branch_energies(
     momenta = np.asarray(momenta, dtype=float)
     if momenta.ndim != 2 or momenta.shape[1] != 3:
         raise DomainError("momenta must be an (N, 3) array")
-    if not np.all(np.isfinite(momenta)):
-        raise DomainError("momentum must be finite")
+    check_finite("momentum", momenta)
     masses = np.asarray(mass, dtype=float)
     if masses.shape not in ((), (len(momenta),)):
         raise DomainError("mass must be one number or one per momentum row")
-    if not np.all(np.isfinite(masses)) or np.any(masses < 0.0):
-        raise DomainError("mass must be finite and non-negative")
+    check_mass(masses)
     k = np.asarray(k, dtype=float)
     if k.shape not in ((3,), momenta.shape):
         raise DomainError("k must be a 3-vector or one per momentum row")
-    if not np.all(np.isfinite(k)):
-        raise DomainError("gradient data must be finite")
-    if not math.isfinite(scale):
-        raise DomainError("scale must be finite")
+    check_finite("gradient data", k)
+    check_finite("scale", scale)
 
     rest = _rest(masses, momenta)
     signed = _signed(momenta, k, scale)
@@ -192,11 +183,8 @@ def branch_energies(
 @np.errstate(**_QUIET)
 def signed_shift(field: WindingGradient, momentum: np.ndarray) -> float:
     """s*(k.p) for one finite 3-momentum; rejected by name if it overflows float64."""
-    momentum = np.asarray(momentum, dtype=float)
-    if momentum.shape != (3,):
-        raise DomainError("momentum must be a 3-vector")
-    if not np.all(np.isfinite(momentum)):
-        raise DomainError("momentum must be finite")
+    momentum = as_3vector("momentum", momentum)
+    check_finite("momentum", momentum)
     return float(_signed(momentum[None, :], field.k, field.scale)[0])
 
 
@@ -213,8 +201,7 @@ def default_degeneracy_tol(momentum: np.ndarray):
         raise DomainError(
             f"momentum must be a 3-vector or an (N, 3) array, not shape {momentum.shape}"
         )
-    if not np.all(np.isfinite(momentum)):
-        raise DomainError("momentum must be finite")
+    check_finite("momentum", momentum)
     # _rest at m = 0, so an overflow is named as branch_energies names it
     tol = 1e-12 * (_rest(0.0, np.atleast_2d(momentum)) + 1.0)
     return tol if momentum.ndim == 2 else float(tol[0])

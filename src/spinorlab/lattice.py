@@ -72,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import Structure
-from .errors import DomainError
+from .errors import DomainError, check_circumference, check_finite, check_mass
 from .winding import TWO_PI, shift_coefficient
 
 STRUCTURE_TWIST = {Structure.STANDARD: 0.0, Structure.EXOTIC: shift_coefficient(1.0) * TWO_PI}
@@ -98,18 +98,15 @@ class RingSpec:
         # all N grid modes exactly when N is even
         if self.sites < 4 or self.sites % 2 != 0:
             raise DomainError("need an even number of sites, at least 4")
-        if self.circumference <= 0.0 or not math.isfinite(self.circumference):
-            raise DomainError("circumference must be positive and finite")
-        if not math.isfinite(self.twist):
-            raise DomainError("twist must be finite")
+        check_circumference(self.circumference)
+        check_finite("twist", self.twist)
         # the generator's largest level: the Nyquist momentum plus the twist
         if not math.isfinite((math.pi * self.sites + abs(self.twist)) / self.circumference):
             raise DomainError(
                 f"ring top level (pi*N + |twist|)/L overflows float64 at N = {self.sites}, "
                 f"L = {self.circumference!r}, twist = {self.twist!r}"
             )
-        if self.mass < 0.0 or not math.isfinite(self.mass):
-            raise DomainError("mass must be finite and non-negative")
+        check_mass(self.mass)
 
 
 LEVEL_TOL = 1e-12  # sorted neighbours within LEVEL_TOL * max|v| form one level

@@ -52,7 +52,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dispersion import Structure
-from .errors import DomainError
+from .errors import DomainError, as_winding, check_circumference, check_finite, check_mass
 from .gamma import GAMMA0, GAMMA3
 from .winding import (
     ThetaField,
@@ -97,10 +97,8 @@ class SampledSection:
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.shape[1] != 4 or values.shape[0] < 4:
             raise DomainError("section values must be an (N, 4) array with N >= 4")
-        if not np.all(np.isfinite(values)):
-            raise DomainError("section values must be finite")
-        if self.circumference <= 0.0 or not math.isfinite(self.circumference):
-            raise DomainError("circumference must be positive and finite")
+        check_finite("section values", values)
+        check_circumference(self.circumference)
         if not isinstance(self.structure, Structure):
             raise DomainError("structure must be a Structure value")
 
@@ -122,8 +120,11 @@ class HalfWindingPhase:
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.size < 4:
             raise DomainError("phase must be a 1-d array with at least 4 samples")
-        if np.max(np.abs(np.abs(values) - 1.0)) > 1e-12:
+        # not <=: a nan sample compares false and is refused too
+        if not np.max(np.abs(np.abs(values) - 1.0)) <= 1e-12:
             raise DomainError("phase samples must be unimodular")
+        check_circumference(self.circumference)
+        object.__setattr__(self, "winding", as_winding(self.winding))
 
     @property
     def sites(self) -> int:
@@ -202,11 +203,6 @@ def _shift(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
     return multiplier[:, None] * (values @ GAMMA3.T)
 
 
-def _check_mass(mass: float) -> None:
-    if mass < 0.0 or not math.isfinite(mass):
-        raise DomainError("mass must be finite and non-negative")
-
-
 def dirac(
     section: SampledSection,
     mass: float,
@@ -218,7 +214,7 @@ def dirac(
     multiplier holds one pointwise factor per site: -(s/2)*theta' gives
     D_plus at scale s, and its negation D_minus (see module docstring).
     """
-    _check_mass(mass)
+    check_mass(mass)
     if multiplier is not None:
         multiplier = np.asarray(multiplier)
         if multiplier.shape != (section.sites,):
@@ -235,11 +231,37 @@ def dirac(
     return replace(section, values=values)
 
 
+def _is_normal(squares: float) -> bool:
+    """A sum of squares that neither overflowed nor fell below the normal floats."""
+    return np.finfo(np.float64).tiny <= squares < math.inf
+
+
+def _scaled_to_largest(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """values / max|v| and max|v|; all-zero values come back as they are, with 1.0."""
+    largest = float(np.max(np.abs(values)))
+    if largest == 0.0:
+        return values, 1.0
+    # part by part: numpy's complex division overflows at a subnormal divisor
+    return values.real / largest + 1j * (values.imag / largest), largest
+
+
 def grid_norm(values: np.ndarray, circumference: float) -> float:
-    """Discrete L2 norm over the grid, sqrt(sum |v|^2 * L/N)."""
+    """Discrete L2 norm over the grid, sqrt(sum |v|^2 * L/N).
+
+    Only where sum |v|^2 * L/N overflows or falls below the normal floats is
+    the norm formed from the values scaled to their largest modulus, with
+    sqrt(L/N) taken apart, so a norm within float64 reads finite and a tiny
+    one keeps its digits; every other norm keeps its bits.
+    """
     values = np.asarray(values)
-    return float(
-        math.sqrt(np.sum(np.abs(values) ** 2) * circumference / values.shape[0])
+    sites = values.shape[0]
+    with np.errstate(over="ignore"):
+        squares = float(np.sum(np.abs(values) ** 2) * circumference / sites)
+    if _is_normal(squares):
+        return math.sqrt(squares)
+    values, largest = _scaled_to_largest(values)
+    return largest * (
+        math.sqrt(float(np.sum(np.abs(values) ** 2))) * math.sqrt(circumference / sites)
     )
 
 
@@ -377,9 +399,8 @@ def kernel_mode(
     unit spinor.  A mass that is negative or not finite, a scale that is not
     finite, and an energy that overflows float64, are a DomainError.
     """
-    _check_mass(mass)
-    if not math.isfinite(scale):
-        raise DomainError("scale must be finite")
+    check_mass(mass)
+    check_finite("scale", scale)
     q = 2.0 * math.pi * harmonic / theta.circumference
     k3 = float(np.mean(pointwise_gradient(theta)))
     q_eff = q + shift_coefficient(scale) * k3
@@ -394,15 +415,12 @@ def kernel_mode(
     e0 = np.eye(4)[0]
     column = energy * GAMMA0[:, 0] - q_eff * GAMMA3[:, 0] + mass * e0
     squares = _sum_of_squares(column)
-    if not np.finfo(np.float64).tiny <= squares < math.inf:
+    if not _is_normal(squares):
         # only a column whose sum of squares overflows or is subnormal is
         # scaled to its largest entry first; every other column keeps the
         # bits of np.linalg.norm
-        largest = np.max(np.abs(column))
-        if largest > 0.0:
-            # part by part: numpy's complex division overflows at a subnormal divisor
-            column = column.real / largest + 1j * (column.imag / largest)
-            squares = _sum_of_squares(column)
+        column, _ = _scaled_to_largest(column)
+        squares = _sum_of_squares(column)
     spinor = column / math.sqrt(squares) if squares > 0.0 else e0
     return plane_wave_section(theta.sites, theta.circumference, harmonic, spinor), energy
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, as_3vector, as_winding, check_circumference, check_finite
 
 TWO_PI = 2.0 * math.pi
 
@@ -57,13 +57,9 @@ class ThetaField:
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1 or samples.size < 4:
             raise DomainError("need a 1-d angle field with at least 4 samples")
-        if not np.all(np.isfinite(samples)):
-            raise DomainError("angle samples must be finite")
-        if self.circumference <= 0.0 or not math.isfinite(self.circumference):
-            raise DomainError("circumference must be positive and finite")
-        if self.winding != int(self.winding):
-            raise DomainError("winding must be an integer")
-        object.__setattr__(self, "winding", int(self.winding))
+        check_finite("angle samples", samples)
+        check_circumference(self.circumference)
+        object.__setattr__(self, "winding", as_winding(self.winding))
         total = holonomy(self)
         target = TWO_PI * self.winding
         if abs(total - target) > 1e-9 * (1.0 + abs(self.winding)):
@@ -96,14 +92,9 @@ class WindingGradient:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        k = np.asarray(self.k, dtype=float)
-        object.__setattr__(self, "k", k)
-        if k.shape != (3,):
-            raise DomainError("k must be a 3-vector")
-        if not np.all(np.isfinite(k)):
-            raise DomainError("gradient data must be finite")
-        if not math.isfinite(self.scale):
-            raise DomainError("scale must be finite")
+        object.__setattr__(self, "k", as_3vector("k", self.k))
+        check_finite("gradient data", self.k)
+        check_finite("scale", self.scale)
 
 
 def build_theta(sites: int, circumference: float, winding: int) -> ThetaField:

@@ -549,6 +549,28 @@ def test_map_check_names_an_extreme_length_without_warnings(capsys, argv, messag
     assert (code, out, err) == (3, "", f"error: circumference L = {message}\n")
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"{name} in JSON output")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--sites", "8", "--sections", "1", "--winding", "2", "--m", "1e150", "--scale", "3"),
+        ("--sites", "16", "--m", "1e150", "--winding", "-2", "--sections", "2"),
+    ],
+)
+def test_map_check_residual_norms_that_overflow_read_finite(capsys, argv):
+    # sum |r|^2 * L/N overflows at L = 1e200 though each norm is ~1e234
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "map-check", *argv, "--length", "1e200")
+    assert (code, err) == (1, "")
+    report = json.loads(out, parse_constant=_refuse_constant)
+    assert report["passed"] is False
+    assert 1e233 < report["residuals"]["intertwine_plus"] < 1e235
+
+
 def test_algebra_analyze_builtin(capsys):
     code, out, _ = run(capsys, "algebra", "analyze", "--table", "prefer_standard")
     assert code == 0

@@ -1,8 +1,13 @@
+import ast
 import dataclasses
 import inspect
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import spinorlab
-from spinorlab import chains, dispersion, lattice, sections, winding
+from spinorlab import chains, dispersion, errors, lattice, sections, winding
 
 
 def _defined_here(module) -> set[str]:
@@ -107,3 +112,51 @@ def test_sections_exports_one_bound_list():
     ]
     assert _defined_here(sections) == set(sections.__all__)
     assert not {"MAP_TOL", "MAP_BOUNDS", "KERNEL_BOUNDS"} & set(vars(sections))
+
+
+# the message text of each rule that errors owns, as a string literal or the
+# literal part of an f-string ends with it
+_RULE_TEXT = re.compile(
+    r"must be (finite|finite and non-negative|positive and finite|a 3-vector"
+    r"|non-negative|an integer)$"
+)
+
+
+def _rule_texts(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    return [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and _RULE_TEXT.search(node.value)
+    ]
+
+
+def test_each_shared_rule_is_worded_only_in_errors():
+    package = Path(spinorlab.__file__).parent
+    restated = {
+        path.name: _rule_texts(path)
+        for path in sorted(package.glob("*.py"))
+        if path.name != "errors.py"
+    }
+    assert {name: texts for name, texts in restated.items() if texts} == {}
+    # the scan sees the rules where they are worded
+    assert len(_rule_texts(package / "errors.py")) == 6
+
+
+def test_errors_loads_without_numpy():
+    # magma imports only errors, so errors must not pull numpy in at load
+    # time; the validators that take arrays import it when they run
+    script = (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('errors', {errors.__file__!r})\n"
+        "module = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(module)\n"
+        "module.check_circumference(1.0); module.as_winding(2.0)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", script], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"

@@ -427,6 +427,42 @@ def test_grid_norm_constant_density():
     assert grid_norm(values, 3.0) == pytest.approx(math.sqrt(3.0), abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "magnitude, length",
+    [(1e150, 1e200), (1e200, 1.0), (1e-200, 1.0), (1e-160, 1e-100), (3.0, 2.8e307)],
+)
+def test_grid_norm_is_finite_where_its_sum_of_squares_is_not_normal(magnitude, length):
+    # the sum of squares times L/N overflows, or underflows to 0 or a
+    # subnormal; the norm itself, magnitude * sqrt(L), is a normal float
+    values = np.zeros((16, 4), dtype=complex)
+    values[:, 1] = magnitude * 1j
+    expected = magnitude * math.sqrt(length)
+    assert grid_norm(values, length) == pytest.approx(expected, rel=1e-15)
+
+
+def test_grid_norm_keeps_the_bits_of_a_normal_sum():
+    values = random_band_limited_section(32, 7.5, np.random.default_rng(4)).values
+    plain = math.sqrt(np.sum(np.abs(values) ** 2) * 7.5 / 32)
+    assert grid_norm(values, 7.5) == plain
+    assert grid_norm(np.zeros((8, 4)), 1.0) == 0.0
+
+
+def test_half_phase_checks_its_circumference_then_its_winding():
+    # a phase at L = nan used to pass every grid check (nan compares false),
+    # and one at winding 1.5 used to count as even in to_standard; each rule
+    # alone is pinned in test_errors
+    with pytest.raises(DomainError, match="^circumference must be positive and finite$"):
+        HalfWindingPhase(np.ones(8), winding=1.5, circumference=math.nan)
+    assert HalfWindingPhase(np.ones(8), winding=2.0, circumference=3.0).winding == 2
+
+
+def test_phase_samples_that_are_not_finite_are_not_unimodular():
+    values = np.ones(8, dtype=complex)
+    values[3] = math.nan
+    with pytest.raises(DomainError, match="^phase samples must be unimodular$"):
+        HalfWindingPhase(values, winding=0, circumference=1.0)
+
+
 def test_section_json_round_trip():
     section = random_band_limited_section(16, 5.0, np.random.default_rng(6))
     again = section_from_json(section_to_json(section))
