@@ -18,14 +18,13 @@ s*(k.p) > 0 the plus branch lies lower under both formulas.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, as_3vector, check_finite, check_mass
+from .errors import DomainError, as_3vector, check_finite, check_mass, check_tol
 from .winding import WindingGradient
 
 
@@ -213,13 +212,12 @@ def preferred_branch(
     """Which exotic branch lies lower, by the sign of s*(k.p).
 
     Strictly greater than tol prefers plus, strictly less than -tol prefers
-    minus, anything in between is degenerate.  tol must be positive; when
-    omitted it defaults to the scale-aware threshold.
+    minus, anything in between is degenerate.  tol must be positive and
+    finite; when omitted it defaults to the scale-aware threshold.
     """
     if tol is None:
         tol = default_degeneracy_tol(momentum)
-    if tol <= 0.0 or not math.isfinite(tol):
-        raise DomainError("tol must be positive")
+    check_tol(tol)
     signed = signed_shift(field, momentum)
     if signed > tol:
         return Preference.PREFER_PLUS

@@ -33,6 +33,12 @@ def check_circumference(circumference: float) -> None:
         raise DomainError("circumference must be positive and finite")
 
 
+def check_tol(tol: float) -> None:
+    """Refuse a tolerance that is not positive and finite, naming it."""
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+
+
 def as_3vector(what: str, value):
     """value as a float array of shape (3,); any other shape is refused."""
     import numpy as np

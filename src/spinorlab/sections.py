@@ -52,7 +52,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dispersion import Structure
-from .errors import DomainError, as_winding, check_circumference, check_finite, check_mass
+from .errors import (
+    DomainError,
+    as_winding,
+    check_circumference,
+    check_finite,
+    check_mass,
+    check_tol,
+)
 from .gamma import GAMMA0, GAMMA3
 from .winding import (
     ThetaField,
@@ -213,55 +220,51 @@ def dirac(
 
     multiplier holds one pointwise factor per site: -(s/2)*theta' gives
     D_plus at scale s, and its negation D_minus (see module docstring).
+    Finite values whose image overflows float64 are a DomainError naming
+    the operator and m.
     """
     check_mass(mass)
     if multiplier is not None:
         multiplier = np.asarray(multiplier)
         if multiplier.shape != (section.sites,):
             raise DomainError("multiplier must hold one value per section site")
-    derivative = ring_derivative(
-        section.values, section.circumference, section.antiperiodic
-    )
-    values = -mass * section.values
-    if energy != 0.0:
-        values = values + energy * (section.values @ GAMMA0.T)
-    values = values + 1j * (derivative @ GAMMA3.T)
-    if multiplier is not None:
-        values = values + _shift(section.values, multiplier)
+    with np.errstate(over="ignore", invalid="ignore"):
+        derivative = ring_derivative(
+            section.values, section.circumference, section.antiperiodic
+        )
+        values = -mass * section.values
+        if energy != 0.0:
+            values = values + energy * (section.values @ GAMMA0.T)
+        values = values + 1j * (derivative @ GAMMA3.T)
+        if multiplier is not None:
+            values = values + _shift(section.values, multiplier)
+    if not np.isfinite(values).all():
+        raise DomainError(f"Dirac operator D psi overflows float64 at m = {mass!r}")
     return replace(section, values=values)
 
 
-def _is_normal(squares: float) -> bool:
-    """A sum of squares that neither overflowed nor fell below the normal floats."""
-    return np.finfo(np.float64).tiny <= squares < math.inf
-
-
 def _scaled_to_largest(values: np.ndarray) -> tuple[np.ndarray, float]:
-    """values / max|v| and max|v|; all-zero values come back as they are, with 1.0."""
-    largest = float(np.max(np.abs(values)))
-    if largest == 0.0:
-        return values, 1.0
-    # part by part: numpy's complex division overflows at a subnormal divisor
-    return values.real / largest + 1j * (values.imag / largest), largest
+    """values / 2^e and 2^e, the power of two that puts max|v| / 2^e in [1, 2).
+
+    Exact wherever the result is normal, so the scaled values keep their bits.
+    """
+    exponent = math.frexp(float(np.max(np.abs(values))))[1] - 1
+    # part by part: np.ldexp takes no complex values
+    scaled = np.ldexp(values.real, -exponent) + 1j * np.ldexp(values.imag, -exponent)
+    return scaled, math.ldexp(1.0, exponent)
 
 
 def grid_norm(values: np.ndarray, circumference: float) -> float:
     """Discrete L2 norm over the grid, sqrt(sum |v|^2 * L/N).
 
-    Only where sum |v|^2 * L/N overflows or falls below the normal floats is
-    the norm formed from the values scaled to their largest modulus, with
-    sqrt(L/N) taken apart, so a norm within float64 reads finite and a tiny
-    one keeps its digits; every other norm keeps its bits.
+    Summed from the values scaled by a power of two to their largest
+    modulus, with sqrt(L/N) taken apart, as reference dnrm2 scales: a norm
+    within float64 reads finite and a tiny one keeps its digits.
     """
-    values = np.asarray(values)
-    sites = values.shape[0]
-    with np.errstate(over="ignore"):
-        squares = float(np.sum(np.abs(values) ** 2) * circumference / sites)
-    if _is_normal(squares):
-        return math.sqrt(squares)
-    values, largest = _scaled_to_largest(values)
-    return largest * (
-        math.sqrt(float(np.sum(np.abs(values) ** 2))) * math.sqrt(circumference / sites)
+    values, scale = _scaled_to_largest(np.asarray(values))
+    return scale * (
+        math.sqrt(float(np.sum(np.abs(values) ** 2)))
+        * math.sqrt(circumference / values.shape[0])
     )
 
 
@@ -314,19 +317,19 @@ def density_residual(section: SampledSection, phase: HalfWindingPhase) -> float:
     return float(np.max(np.abs(after - before)))
 
 
-# The bound on each section residual key: None stands for the caller's tol
-# (_MAP_TOL unless given), the rest are rounding-level identities held to a
-# fixed 1e-15.  _KERNEL_BOUNDS holds the kernel pair to multiples of that
-# tol.  map_checks is the one reader of all three.
-_MAP_TOL = 1e-10
-_MAP_BOUNDS = {
-    "intertwine_plus": None,
-    "intertwine_minus": None,
-    "commutation": 1e-15,
-    "density": 1e-15,
-    "roundtrip": 1e-15,
+# The bound of each map_checks key, in its order, as multiple * tol + fixed:
+# the intertwining and kernel residuals are held to multiples of the
+# caller's tol, the rounding-level identities to a fixed 1e-15.  map_checks
+# is the one reader.
+_BOUNDS = {
+    "intertwine_plus": (1.0, 0.0),
+    "intertwine_minus": (1.0, 0.0),
+    "commutation": (0.0, 1e-15),
+    "density": (0.0, 1e-15),
+    "roundtrip": (0.0, 1e-15),
+    "kernel_residual": (1.0, 0.0),
+    "mapped_kernel_residual": (1.0 + 1e-6, 0.0),
 }
-_KERNEL_BOUNDS = (1.0, 1.0 + 1e-6)
 
 
 def random_band_limited_section(
@@ -376,12 +379,6 @@ def plane_wave_section(
     )
 
 
-def _sum_of_squares(vector: np.ndarray) -> float:
-    """sum |v|^2 formed as np.linalg.norm forms it; an overflow is left as inf."""
-    with np.errstate(over="ignore"):
-        return float(vector.real.dot(vector.real) + vector.imag.dot(vector.imag))
-
-
 def kernel_mode(
     theta: ThetaField, mass: float, harmonic: int, scale: float = 1.0
 ) -> tuple[SampledSection, float]:
@@ -393,11 +390,12 @@ def kernel_mode(
     E*g0 - q_eff*g3 + m, normalized: its norm, sqrt(2E(E + m)), is the
     largest of the four columns'.  At E = m = 0 the projector vanishes and
     every spinor is in the kernel, so the spinor is e_0.  Applying D_plus at
-    that energy annihilates the section up to rounding.  The norm is taken
-    of the column scaled to its largest entry where its sum of squares would
-    overflow or be subnormal, so a column above ~1e154 still normalizes to a
-    unit spinor.  A mass that is negative or not finite, a scale that is not
-    finite, and an energy that overflows float64, are a DomainError.
+    that energy annihilates the section up to rounding.  The column is
+    scaled by a power of two to its largest entry before np.linalg.norm
+    divides it, so a column above ~1e154 or below ~1e-154 still normalizes
+    to a unit spinor, and any other column gets the bits of column / norm.
+    A mass that is negative or not finite, a scale that is not finite, and
+    an energy that overflows float64, are a DomainError.
     """
     check_mass(mass)
     check_finite("scale", scale)
@@ -413,15 +411,9 @@ def kernel_mode(
             f"kernel mode energy: m^2 + q_eff^2 overflows float64 at m = {mass!r}, q_eff = {q_eff!r}"
         )
     e0 = np.eye(4)[0]
-    column = energy * GAMMA0[:, 0] - q_eff * GAMMA3[:, 0] + mass * e0
-    squares = _sum_of_squares(column)
-    if not _is_normal(squares):
-        # only a column whose sum of squares overflows or is subnormal is
-        # scaled to its largest entry first; every other column keeps the
-        # bits of np.linalg.norm
-        column, _ = _scaled_to_largest(column)
-        squares = _sum_of_squares(column)
-    spinor = column / math.sqrt(squares) if squares > 0.0 else e0
+    column, _ = _scaled_to_largest(energy * GAMMA0[:, 0] - q_eff * GAMMA3[:, 0] + mass * e0)
+    norm = np.linalg.norm(column)
+    spinor = column / norm if norm > 0.0 else e0
     return plane_wave_section(theta.sites, theta.circumference, harmonic, spinor), energy
 
 
@@ -444,9 +436,8 @@ def map_checks(
     (1e-10 when None) bounds the intertwining and kernel residuals and must
     be positive and finite; the other three are held to a fixed 1e-15.
     """
-    tol = _MAP_TOL if tol is None else tol
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    tol = 1e-10 if tol is None else tol
+    check_tol(tol)
     # the kernel mode first: it rejects an overflowing energy before any
     # array is scaled or a section scanned
     mode, energy = kernel_mode(theta, mass, harmonic, scale)
@@ -454,11 +445,11 @@ def map_checks(
     field = gradient_field(theta, scale=shift_coefficient(scale))
     multiplier = -field.scale * pointwise_gradient(theta)
     length = theta.circumference
-    kernel = (
-        grid_norm(dirac(mode, mass, energy, multiplier).values, length),
-        grid_norm(dirac(to_standard(mode, phase), mass, energy).values, length),
+    worst = dict.fromkeys(_BOUNDS, 0.0)
+    worst["kernel_residual"] = grid_norm(dirac(mode, mass, energy, multiplier).values, length)
+    worst["mapped_kernel_residual"] = grid_norm(
+        dirac(to_standard(mode, phase), mass, energy).values, length
     )
-    worst = dict.fromkeys(_MAP_BOUNDS, 0.0)
     for section in sections:
         back = to_exotic(to_standard(section, phase), phase)
         residuals = (
@@ -467,16 +458,13 @@ def map_checks(
             density_residual(section, phase),
             float(np.max(np.abs(back.values - section.values))),
         )
+        # the five section keys lead the table, so zip stops at the kernel pair
         for key, value in zip(worst, residuals):
             worst[key] = max(worst[key], value)
-    checks = [
-        (key, worst[key], tol if bound is None else bound)
-        for key, bound in _MAP_BOUNDS.items()
+    return [
+        (key, worst[key], multiple * tol + fixed)
+        for key, (multiple, fixed) in _BOUNDS.items()
     ]
-    keys = ("kernel_residual", "mapped_kernel_residual")
-    for key, value, factor in zip(keys, kernel, _KERNEL_BOUNDS):
-        checks.append((key, value, tol * factor))
-    return checks
 
 
 def section_to_json(section: SampledSection) -> str:

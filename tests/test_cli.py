@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -10,11 +11,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinorlab import cli, lattice
 from spinorlab.cli import main
-from spinorlab.dispersion import branch_energies
-from spinorlab.sections import map_checks, random_band_limited_section, section_to_json
+from spinorlab.dispersion import Structure, branch_energies
+from spinorlab.sections import (
+    SampledSection,
+    map_checks,
+    random_band_limited_section,
+    section_to_json,
+)
 from spinorlab.winding import build_theta
 
 TWO_PI = 2.0 * math.pi
@@ -569,6 +577,53 @@ def test_map_check_residual_norms_that_overflow_read_finite(capsys, argv):
     report = json.loads(out, parse_constant=_refuse_constant)
     assert report["passed"] is False
     assert 1e233 < report["residuals"]["intertwine_plus"] < 1e235
+
+
+def test_map_check_names_a_dirac_image_that_overflows(capsys, tmp_path):
+    # the section's values are finite; m * psi is not, so the refusal names
+    # the operator and m rather than the file
+    path = tmp_path / "section.json"
+    values = np.full((16, 4), 1e300, dtype=complex)
+    path.write_text(section_to_json(SampledSection(values, Structure.EXOTIC, TWO_PI)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "map-check", "--section-file", str(path), "--sites", "16",
+            "--sections", "0", "--m", "1e10",
+        )
+    assert (code, out) == (3, "")
+    assert err == "error: Dirac operator D psi overflows float64 at m = 10000000000.0\n"
+
+
+# edge values for map-check's float flags, each passed as --flag=value so that
+# argparse does not read -inf as an option
+_EDGE_FLOATS = (
+    "nan", "inf", "-inf", "0", "-0", "5e-324", "1e-310", "1e-200",
+    "0.5", "1e150", "1e200", "1e308", "-1",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sites=st.integers(1, 64),
+    sections=st.integers(0, 2),
+    output=st.sampled_from(["csv", "json"]),
+    flags=st.dictionaries(
+        st.sampled_from(["--length", "--m", "--scale", "--tol"]), st.sampled_from(_EDGE_FLOATS)
+    ),
+)
+def test_map_check_output_contract(sites, sections, output, flags):
+    argv = ["map-check", f"--sites={sites}", f"--sections={sections}", f"--format={output}"]
+    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 3)
+    if code == 3:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    elif output == "json":
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
 
 
 def test_algebra_analyze_builtin(capsys):

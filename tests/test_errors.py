@@ -2,7 +2,8 @@
 
 Each row names a rule's exact message, a site, and the values it refuses
 there: nan and +-inf for a finite rule, -1 as well for a non-negative or a
-positive rule, and 0 for a positive one.  Command-line sites go through
+positive rule, and 0 for a positive one.  A message that names the refused
+value holds it as {value!r}.  Command-line sites go through
 main, where a refusal is exit 3 with one `error: ...` line on stderr.
 """
 
@@ -20,6 +21,7 @@ from spinorlab.dispersion import (
     Structure,
     branch_energies,
     default_degeneracy_tol,
+    preferred_branch,
     signed_shift,
 )
 from spinorlab.errors import DomainError
@@ -29,6 +31,7 @@ from spinorlab.sections import (
     SampledSection,
     dirac,
     kernel_mode,
+    map_checks,
     random_band_limited_section,
 )
 from spinorlab.winding import ThetaField, WindingGradient, build_theta
@@ -183,6 +186,25 @@ RULES = [
         (-1,),
     ),
     (
+        "tol must be positive and finite, got {value!r}",
+        {
+            "preferred_branch": lambda v: preferred_branch(FIELD, [0.0, 0.0, 1.0], v),
+            "map_checks": lambda v: map_checks([], THETA, 1.0, tol=v),
+            "preference --tol": lambda v: _cli(
+                "preference", "--p", "0,0,1", "--k", "0,0,1", f"--tol={v!r}"
+            ),
+            # the tol is refused before the events file is read
+            "algebra chain --tol": lambda v: _cli(
+                "algebra", "chain", "--initial", "(a,b)", "--events", "events.json",
+                "--p", "0,0,1", "--k", "0,0,1", f"--tol={v!r}",
+            ),
+            "map-check --tol": lambda v: _cli(
+                "map-check", "--sites", "16", "--sections", "1", f"--tol={v!r}"
+            ),
+        },
+        NOT_POSITIVE,
+    ),
+    (
         "winding must be an integer",
         {
             "ThetaField": lambda v: ThetaField(np.zeros(8), v, 1.0),
@@ -204,7 +226,7 @@ CASES = [
 def test_each_shared_rule_refuses_with_its_one_message(message, call, value):
     with pytest.raises(DomainError) as caught:
         call(value)
-    assert str(caught.value) == message
+    assert str(caught.value) == message.format(value=value)
 
 
 @pytest.mark.parametrize(

@@ -118,7 +118,7 @@ def test_sections_exports_one_bound_list():
 # literal part of an f-string ends with it
 _RULE_TEXT = re.compile(
     r"must be (finite|finite and non-negative|positive and finite|a 3-vector"
-    r"|non-negative|an integer)$"
+    r"|non-negative|an integer|positive and finite, got )$"
 )
 
 
@@ -142,7 +142,40 @@ def test_each_shared_rule_is_worded_only_in_errors():
     }
     assert {name: texts for name, texts in restated.items() if texts} == {}
     # the scan sees the rules where they are worded
-    assert len(_rule_texts(package / "errors.py")) == 6
+    assert len(_rule_texts(package / "errors.py")) == 7
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads or lists in __all__."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        node.value
+        for assign in tree.body
+        if isinstance(assign, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "__all__" for target in assign.targets)
+        for node in ast.walk(assign.value)
+        if isinstance(node, ast.Constant)
+    }
+    return sorted(imported - read - exported)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # no linter runs on the package, so this scan stands in for its unused-import rule
+    package = Path(spinorlab.__file__).parent
+    unused = {
+        path.name: _unused_imports(path.read_text()) for path in sorted(package.glob("*.py"))
+    }
+    assert {name: names for name, names in unused.items() if names} == {}
+    # the scan sees an unused import, a dotted one and an aliased one
+    source = "import math\nimport os.path\nfrom numpy import pi as p, e\nprint(e)\n"
+    assert _unused_imports(source) == ["math", "os", "p"]
 
 
 def test_errors_loads_without_numpy():

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from spinorlab.dispersion import Structure
 from spinorlab.errors import DomainError
 from spinorlab import sections
-from spinorlab.gamma import GAMMA0, GAMMA3
+from spinorlab.gamma import GAMMA3
 from spinorlab.sections import (
     HalfWindingPhase,
     SampledSection,
@@ -26,10 +27,11 @@ from spinorlab.sections import (
     to_exotic,
     to_standard,
 )
-from spinorlab.winding import build_theta, gradient_field, pointwise_gradient
+from spinorlab.winding import build_theta, gradient_field, pointwise_gradient, shift_coefficient
 
 TWO_PI = 2.0 * math.pi
 N = 64
+EPS = np.finfo(np.float64).eps
 
 
 def _theta(w=1, L=TWO_PI, n=N):
@@ -379,35 +381,52 @@ def test_vanishing_projector_takes_the_first_basis_spinor():
     assert _kernel_pair(theta, 0.0, harmonic=0) == (0.0, 0.0)
 
 
-def _first_large_column(theta, mass, harmonic, scale):
-    """Reference: the first projector column with norm above 1e-8, or None."""
-    q_eff = 2.0 * math.pi * harmonic / theta.circumference
-    q_eff = q_eff + 0.5 * scale * float(np.mean(pointwise_gradient(theta)))
-    energy = math.sqrt(mass**2 + q_eff**2)
-    onshell = energy * GAMMA0 - q_eff * GAMMA3 + mass * np.eye(4)
-    for column in range(4):
-        candidate = onshell[:, column]
-        if np.linalg.norm(candidate) > 1e-8:
-            return candidate / np.linalg.norm(candidate)
-    return None
+def _decimal_unit_column(energy, mass, q_eff):
+    """Column 0 of E*g0 - q_eff*g3 + m at unit norm, in 60-digit decimal."""
+    with localcontext() as context:
+        context.prec = 60
+        column = [Decimal(energy) + Decimal(mass), Decimal(0), Decimal(q_eff), Decimal(0)]
+        norm = sum(entry * entry for entry in column).sqrt()
+        return [entry / norm for entry in column]
 
 
-def test_kernel_spinor_is_the_first_large_projector_column():
-    rng = np.random.default_rng(40)
+def _kernel_draws(count, rng):
+    """(winding, length, mass, harmonic, scale) draws for kernel_mode."""
+    for _ in range(count):
+        yield (
+            int(rng.integers(-7, 8)),
+            float(rng.uniform(0.5, 20.0)),
+            float(rng.choice([0.0, 1e-9, 1e154, rng.uniform(0.0, 3.0)])),
+            int(rng.integers(-5, 6)),
+            float(rng.choice([1.0, 0.5, -2.0, rng.uniform(-4.0, 4.0)])),
+        )
+
+
+def test_kernel_spinor_is_the_unit_first_projector_column():
+    # ordinary draws, masses at which the column's sum of squares overflows
+    # (1e154), and q_eff = 0 at m = 1e-160, where it is subnormal: each
+    # spinor entry sits within 2 eps of the decimal reference built from the
+    # same E, m and q_eff.  Scaling by a power of two is exact, so an
+    # ordinary column keeps the bits of column / norm, and with them the
+    # rounding of the kernel residuals that an absolute tol judges
+    draws = [*_kernel_draws(200, np.random.default_rng(40)), (-2, TWO_PI, 1e-160, 1, 1.0)]
     checked = 0
-    for _ in range(200):
-        winding = int(rng.integers(-7, 8))
-        length = float(rng.uniform(0.5, 20.0))
+    for winding, length, mass, harmonic, scale in draws:
         theta = build_theta(N, length, winding)
-        mass = float(rng.choice([0.0, 1e-9, rng.uniform(0.0, 3.0)]))
-        harmonic = int(rng.integers(-5, 6))
-        scale = float(rng.choice([1.0, 0.5, -2.0, rng.uniform(-4.0, 4.0)]))
-        reference = _first_large_column(theta, mass, harmonic, scale)
-        section, _ = kernel_mode(theta, mass, harmonic, scale)
-        if reference is not None:
-            checked += 1
-            # column 0 wherever the old scan found a column: the same bits
-            assert np.array_equal(section.values[0], reference)
+        section, energy = kernel_mode(theta, mass, harmonic, scale)
+        if energy == 0.0:
+            continue
+        k3 = float(np.mean(pointwise_gradient(theta)))
+        q_eff = 2.0 * math.pi * harmonic / length + shift_coefficient(scale) * k3
+        reference = _decimal_unit_column(energy, mass, q_eff)
+        spinor = section.values[0]
+        assert np.all(spinor.imag == 0.0)
+        errors = [abs(Decimal(float(got)) - want) for got, want in zip(spinor.real, reference)]
+        assert max(errors) <= 2 * Decimal(EPS)
+        if 1e-100 < energy < 1e100:
+            column = np.array([energy + mass, 0.0, q_eff, 0.0], dtype=complex)
+            assert np.array_equal(spinor, column / np.linalg.norm(column))
+        checked += 1
     assert checked >= 150
 
 
@@ -440,10 +459,38 @@ def test_grid_norm_is_finite_where_its_sum_of_squares_is_not_normal(magnitude, l
     assert grid_norm(values, length) == pytest.approx(expected, rel=1e-15)
 
 
-def test_grid_norm_keeps_the_bits_of_a_normal_sum():
-    values = random_band_limited_section(32, 7.5, np.random.default_rng(4)).values
-    plain = math.sqrt(np.sum(np.abs(values) ** 2) * 7.5 / 32)
-    assert grid_norm(values, 7.5) == plain
+def _decimal_grid_norm(values, circumference):
+    """sqrt(sum |v|^2 * L/N) of the exact float values, in 60-digit decimal."""
+    with localcontext() as context:
+        context.prec = 60
+        parts = np.concatenate([values.real.ravel(), values.imag.ravel()])
+        total = sum(Decimal(float(part)) ** 2 for part in parts)
+        return (total * Decimal(circumference) / values.shape[0]).sqrt()
+
+
+@pytest.mark.parametrize(
+    "magnitude, length",
+    [
+        (1.0, 7.5),
+        (1.0, 1e-300),
+        (1e-300, 1.0),
+        (1e300, 1.0),
+        (1e-310, 3.0),
+        (1e150, 1e200),
+        (1e-160, 1e-100),
+        (3.0, 2.8e307),
+    ],
+)
+def test_grid_norm_matches_a_decimal_reference(magnitude, length):
+    # within 4 ulps of the norm at ordinary sizes, where the sum of squares
+    # overflows or is subnormal, and where the norm itself is subnormal
+    # (1e-310); the worst seen over these draws is 2 ulps
+    rng = np.random.default_rng(4)
+    for sites in (8, 16, 64):
+        values = random_band_limited_section(sites, 1.0, rng).values * magnitude
+        reference = _decimal_grid_norm(values, length)
+        error = abs(Decimal(grid_norm(values, length)) - reference)
+        assert error <= 4 * Decimal(math.ulp(float(reference)))
     assert grid_norm(np.zeros((8, 4)), 1.0) == 0.0
 
 
