@@ -22,6 +22,7 @@ unreadable/unwritable file).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -396,16 +397,16 @@ def _run_map_check(options: dict) -> Report:
 
     theta = build_theta(sites, length, winding)
     rng = np.random.default_rng(seed)
-    sections = []
+    given = []
     if options.get("section_file"):
-        sections.append(section_from_json(_read_text(options["section_file"], "section file")))
-    sections.extend(
-        random_band_limited_section(sites, length, rng) for _ in range(draws)
-    )
-    if not sections:
+        given.append(section_from_json(_read_text(options["section_file"], "section file")))
+    count = len(given) + draws
+    if not count:
         raise DomainError("nothing to check: no sections requested")
+    # one section alive at a time: the file's, then the seeded draws in order
+    drawn = (random_band_limited_section(sites, length, rng) for _ in range(draws))
 
-    checks = map_checks(sections, theta, mass, scale, harmonic=1, tol=tol)
+    checks = map_checks(itertools.chain(given, drawn), theta, mass, scale, harmonic=1, tol=tol)
     residuals = {key: value for key, value, _ in checks}
     kernel = residuals.pop("kernel_residual"), residuals.pop("mapped_kernel_residual")
     passed = all(value <= bound for _, value, bound in checks)
@@ -417,7 +418,7 @@ def _run_map_check(options: dict) -> Report:
         "scale": scale,
         # the intertwining bound is the tol itself
         "tol": checks[0][2],
-        "sections": len(sections),
+        "sections": count,
         "seed": seed,
     }
     fields = {

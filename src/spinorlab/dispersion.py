@@ -7,9 +7,11 @@ deliberately kept apart:
 
 * semiclassical: E = (|p|^2 + m^2) * (1 -+ s*(k.p) / (2*(|p|^2 + m^2))),
   the first-order splitting written exactly as it is usually quoted, with
-  no correction for the standard branch (which returns |p|^2 + m^2);
+  no correction for the standard branch (which returns |p|^2 + m^2); it is
+  in E^2 units, so its overflow near |p| ~ 1e154 is honest and refused;
 * exact: E = sqrt(m^2 + |p -+ s*k|^2), the closed form whose expansion
-  reproduces the semiclassical gap to first order in k.
+  reproduces the semiclassical gap to first order in k.  energy(m, v) forms
+  it, the one sqrt(m^2 + |v|^2) that the ring oracle's energies share.
 
 s is the shift coefficient WindingGradient.scale (see there for how the
 closed form, the ring twist and the half-phase operators share it).  For
@@ -70,6 +72,9 @@ class BranchEnergies(NamedTuple):
     standard branch, and signed_shift is s*(k.p), the semiclassical gap.
     The semiclassical pair is None when only the exact formula was asked
     for; the exact columns are None when only the semiclassical one was.
+    rest and signed_shift are checked only with the semiclassical columns:
+    when only "exact" is asked for they may read inf or 0.0 where float64
+    cannot hold them, while every exact column is finite.
     """
 
     rest: np.ndarray
@@ -87,47 +92,93 @@ class BranchEnergies(NamedTuple):
 # so a non-finite result can only come from overflow, which _finite turns
 # into a DomainError.
 _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float64
+
+
+def _normal(values: np.ndarray) -> np.ndarray:
+    return np.isfinite(values) & (np.abs(values) >= _TINY)
+
+
+def energy(mass, vectors: np.ndarray) -> np.ndarray:
+    """sqrt(m^2 + |v|^2) for each row v of an (N, d) array; mass is one number or N.
+
+    Rows whose sum is a normal float keep the plain square root; the others
+    chain np.hypot over m and the row's entries, which scales instead of
+    squaring (LAPACK dlapy2).  An energy above float64 reads inf.
+    """
+    with np.errstate(over="ignore"):
+        squares = np.square(mass) + np.vecdot(vectors, vectors)
+        energies = np.sqrt(squares)
+        edge = ~_normal(squares)
+        scaled = np.broadcast_to(mass, energies.shape)[edge]
+        for column in vectors[edge].T:
+            scaled = np.hypot(scaled, column)
+        energies[edge] = scaled
+    return energies
+
+
+def _refuse(bad: np.ndarray, what: str, momenta: np.ndarray) -> None:
+    if bad.any():
+        p = momenta[np.argmax(bad)].tolist()
+        raise DomainError(f"{what} float64 at p = ({p[0]!r}, {p[1]!r}, {p[2]!r})")
 
 
 def _finite(label: str, values: np.ndarray, momenta: np.ndarray) -> np.ndarray:
-    bad = ~np.isfinite(values)
-    if bad.any():
-        p = momenta[np.argmax(bad)].tolist()
-        raise DomainError(f"{label} overflows float64 at p = ({p[0]!r}, {p[1]!r}, {p[2]!r})")
+    _refuse(~np.isfinite(values), f"{label} overflows", momenta)
     return values
 
 
 def _rest(mass, momenta: np.ndarray) -> np.ndarray:
-    return _finite("m^2 + |p|^2", np.square(mass) + np.vecdot(momenta, momenta), momenta)
+    return np.square(mass) + np.vecdot(momenta, momenta)
 
 
 def _signed(momenta: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
-    return _finite("s*(k.p)", scale * np.vecdot(momenta, k), momenta)
+    return scale * np.vecdot(momenta, k)
 
 
-def _semiclassical(rest: np.ndarray, signed: np.ndarray, momenta: np.ndarray):
-    if np.any(rest == 0.0):
+def _semiclassical(mass, rest: np.ndarray, signed: np.ndarray, momenta: np.ndarray):
+    _finite("m^2 + |p|^2", rest, momenta)
+    _finite("s*(k.p)", signed, momenta)
+    if np.any((mass == 0.0) & ~momenta.any(axis=1)):
         raise DomainError("semiclassical correction undefined at m = 0, p = 0")
+    _refuse(rest == 0.0, "m^2 + |p|^2 underflows", momenta)
     correction = signed / (2.0 * rest)
     plus = _finite("semiclassical plus energy", rest * (1.0 - correction), momenta)
     minus = _finite("semiclassical minus energy", rest * (1.0 + correction), momenta)
     return plus, minus
 
 
-def _exact(mass, momenta: np.ndarray, shift) -> np.ndarray:
-    """sqrt(m^2 + |p - shift|^2): plus branch at shift s*k, minus at -s*k."""
-    shifted = momenta - shift
-    return _finite(
-        "exact energy", np.sqrt(np.square(mass) + np.vecdot(shifted, shifted)), momenta
-    )
+def _scaled_dot(p: np.ndarray, s_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, e) per row with p.s_k = d * 2^e, and no term overflows or underflows.
+
+    Each term p_i * (s*k)_i is the product of the two entries' frexp
+    fractions, scaled by a power of two to the exponent e of the row's
+    largest nonzero term, as sections._scaled_to_largest scales a norm.
+    """
+    (p_frac, p_exp), (k_frac, k_exp) = np.frexp(p), np.frexp(s_k)
+    fractions, exponents = p_frac * k_frac, p_exp + k_exp
+    # -4096 is below every exponent sum, so a zero term never sets the scale
+    top = np.max(np.where(fractions == 0.0, -4096, exponents), axis=1)
+    return np.sum(np.ldexp(fractions, exponents - top[:, None]), axis=1), top
 
 
-def _exact_gap(signed, plus, minus, momenta: np.ndarray) -> np.ndarray:
+def _exact_gap(signed, plus, minus, momenta: np.ndarray, shift) -> np.ndarray:
     # E_minus^2 - E_plus^2 = 4 s (k.p) exactly, so dividing by E_minus + E_plus
     # gives the difference of the roots without subtracting them (Higham,
-    # Accuracy and Stability of Numerical Algorithms, ch. 1).  The sum is zero
-    # only where s*(k.p) is, at m = 0, p = 0, s*k = 0.
-    gap = np.where(signed == 0.0, 0.0, 4.0 * signed / (minus + plus))
+    # Accuracy and Stability of Numerical Algorithms, ch. 1).  Where 4 s*(k.p)
+    # or the sum is not a normal float, both are formed scaled by powers of
+    # two, which is exact, and the quotient is scaled back once; the gap is
+    # then 0.0 exactly where the scaled s*(k.p) is.
+    numerator, total = 4.0 * signed, minus + plus
+    gap = numerator / total
+    edge = ~(_normal(numerator) & _normal(total))
+    if edge.any():
+        dot, dot_exp = _scaled_dot(momenta[edge], np.broadcast_to(shift, momenta.shape)[edge])
+        roots = np.column_stack((minus[edge], plus[edge]))
+        root_exp = np.frexp(np.max(roots, axis=1))[1]
+        scaled_total = np.sum(np.ldexp(roots, -root_exp[:, None]), axis=1)
+        quotient = np.where(dot == 0.0, 0.0, 4.0 * dot / scaled_total)
+        gap[edge] = np.ldexp(quotient, dot_exp - root_exp)
     return _finite("exact gap", gap, momenta)
 
 
@@ -140,9 +191,12 @@ def branch_energies(
     momenta is an (N, 3) array; mass is one number or N of them; k is the
     gradient, one 3-vector for the batch or an (N, 3) array, multiplied by
     scale wherever it shifts an energy.  formula picks "semiclassical",
-    "exact" or "both".  Inputs are validated once for the whole batch; the
-    semiclassical formula rejects any row at m = 0, p = 0, and any result
-    that overflows float64 is rejected with the quantity that overflowed.
+    "exact" or "both".  Inputs are validated once for the whole batch.  The
+    semiclassical formula, in E^2 units, rejects any row at m = 0, p = 0, an
+    m^2 + |p|^2 that underflows to 0.0, and an m^2 + |p|^2 or s*(k.p) that
+    overflows float64.  The exact columns are formed by energy, so they are
+    rejected only where an energy itself is above float64.  Each refusal
+    names the quantity.
     """
     if formula not in ("semiclassical", "exact", "both"):
         raise DomainError(f"unknown formula {formula!r}")
@@ -164,17 +218,19 @@ def branch_energies(
     signed = _signed(momenta, k, scale)
     energies = {}
     if formula != "exact":
-        plus, minus = _semiclassical(rest, signed, momenta)
+        plus, minus = _semiclassical(masses, rest, signed, momenta)
         energies.update(semiclassical_plus=plus, semiclassical_minus=minus)
     if formula != "semiclassical":
         shift = scale * k
-        plus = _exact(masses, momenta, shift)
-        minus = _exact(masses, momenta, -shift)
+        standard, plus, minus = (
+            _finite("exact energy", energy(masses, vectors), momenta)
+            for vectors in (momenta, momenta - shift, momenta + shift)
+        )
         energies.update(
-            exact_standard=np.sqrt(rest),
+            exact_standard=standard,
             exact_plus=plus,
             exact_minus=minus,
-            gap_exact=_exact_gap(signed, plus, minus, momenta),
+            gap_exact=_exact_gap(signed, plus, minus, momenta, shift),
         )
     return BranchEnergies(rest=rest, signed_shift=signed, **energies)
 
@@ -184,7 +240,8 @@ def signed_shift(field: WindingGradient, momentum: np.ndarray) -> float:
     """s*(k.p) for one finite 3-momentum; rejected by name if it overflows float64."""
     momentum = as_3vector("momentum", momentum)
     check_finite("momentum", momentum)
-    return float(_signed(momentum[None, :], field.k, field.scale)[0])
+    momenta = momentum[None, :]
+    return float(_finite("s*(k.p)", _signed(momenta, field.k, field.scale), momenta)[0])
 
 
 @np.errstate(**_QUIET)
@@ -202,7 +259,8 @@ def default_degeneracy_tol(momentum: np.ndarray):
         )
     check_finite("momentum", momentum)
     # _rest at m = 0, so an overflow is named as branch_energies names it
-    tol = 1e-12 * (_rest(0.0, np.atleast_2d(momentum)) + 1.0)
+    momenta = np.atleast_2d(momentum)
+    tol = 1e-12 * (_finite("m^2 + |p|^2", _rest(0.0, momenta), momenta) + 1.0)
     return tol if momentum.ndim == 2 else float(tol[0])
 
 

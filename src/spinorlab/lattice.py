@@ -59,9 +59,9 @@ structure is twist 0, the exotic one twist pi, the twist c*k3*L of a unit
 winding at c = shift_coefficient(1) (see WindingGradient).  The Dirac ring
 operator is the 2N x 2N matrix sigma1 x (-i d/dx + Phi/L) + m * sigma3 x 1,
 whose spectrum comes out symmetric under E -> -E; single-particle energies
-are E_n = sqrt(m^2 + e_n^2); the shift acts alike on both spinor
-components, so it splits into two N x N sectors.  Dense operators are
-bounded by MAX_DENSE_DIMENSION.
+are E_n = sqrt(m^2 + e_n^2) from dispersion.energy; the shift acts alike
+on both spinor components, so it splits into two N x N sectors.  Dense
+operators are bounded by MAX_DENSE_DIMENSION.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import Structure
+from .dispersion import Structure, energy
 from .errors import DomainError, check_circumference, check_finite, check_mass
 from .winding import TWO_PI, shift_coefficient
 
@@ -241,24 +241,6 @@ def analytic_levels(spec: RingSpec) -> np.ndarray:
     return np.sort((TWO_PI * mode_indices(spec) + spec.twist) / spec.circumference)
 
 
-def dirac_energies(mass: float, levels: np.ndarray) -> np.ndarray:
-    """Single-particle energies sqrt(m^2 + e_n^2) of the momentum levels e_n.
-
-    A row whose m^2 + e_n^2 overflows or falls below the smallest normal
-    float is recomputed with np.hypot, which scales instead of squaring;
-    every other row keeps the plain square root.  An energy above float64
-    is a DomainError.
-    """
-    with np.errstate(over="ignore"):
-        squares = np.square(mass) + np.square(levels)
-        energies = np.sqrt(squares)
-        edge = ~np.isfinite(squares) | (squares < np.finfo(np.float64).tiny)
-        energies[edge] = np.hypot(mass, levels[edge])
-    if not np.all(np.isfinite(energies)):
-        raise DomainError(f"Dirac energy sqrt(m^2 + e_n^2) overflows float64 at m = {mass!r}")
-    return energies
-
-
 def ring_modes(spec: RingSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The ring's modes in (level, n) order: (n, e_n, energy, multiplicity).
 
@@ -268,18 +250,21 @@ def ring_modes(spec: RingSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     (see _group_levels), which is where the degeneracy lifting between the
     two structures becomes visible; within a level the rows go by n, so
     rounding cannot swap the rows of a degenerate pair.  The twist is
-    spec.twist; STRUCTURE_TWIST gives a structure's.  An energy that
-    overflows float64 on the analytic levels is refused before the
-    eigensolve, naming the inputs.
+    spec.twist; STRUCTURE_TWIST gives a structure's.  An energy above
+    float64 is refused by its inputs, on the analytic levels before the
+    eigensolve and on the solved ones after it.
     """
-    if not math.isfinite(math.hypot(spec.mass, np.max(np.abs(analytic_levels(spec))))):
-        raise DomainError(
-            f"Dirac energy sqrt(m^2 + e_n^2) overflows float64 at m = {spec.mass!r}, "
-            f"N = {spec.sites}, L = {spec.circumference!r}, twist = {spec.twist!r}"
-        )
+    overflow = (
+        f"Dirac energy sqrt(m^2 + e_n^2) overflows float64 at m = {spec.mass!r}, "
+        f"N = {spec.sites}, L = {spec.circumference!r}, twist = {spec.twist!r}"
+    )
+    if not np.all(np.isfinite(energy(spec.mass, analytic_levels(spec)[:, None]))):
+        raise DomainError(overflow)
     levels = ring_spectrum(spec)
     modes = mode_indices(spec)
-    energies = dirac_energies(spec.mass, levels)
+    energies = energy(spec.mass, levels[:, None])
+    if not np.all(np.isfinite(energies)):
+        raise DomainError(overflow)
     order = np.lexsort((modes, energies))
     sizes = _group_levels(energies[order])
     level = np.repeat(np.arange(len(sizes)), sizes)

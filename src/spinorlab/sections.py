@@ -435,6 +435,8 @@ def map_checks(
     section at the given harmonic and of D0 on its half-phase image.  tol
     (1e-10 when None) bounds the intertwining and kernel residuals and must
     be positive and finite; the other three are held to a fixed 1e-15.
+    sections may be any iterable, read once; a residual that is not finite
+    is a DomainError naming its key.
     """
     tol = 1e-10 if tol is None else tol
     check_tol(tol)
@@ -451,15 +453,19 @@ def map_checks(
         dirac(to_standard(mode, phase), mass, energy).values, length
     )
     for section in sections:
-        back = to_exotic(to_standard(section, phase), phase)
-        residuals = (
-            *intertwining_residual(section, phase, multiplier, mass),
-            commutation_residual(section, field, phase),
-            density_residual(section, phase),
-            float(np.max(np.abs(back.values - section.values))),
-        )
-        # the five section keys lead the table, so zip stops at the kernel pair
+        with np.errstate(over="ignore", invalid="ignore"):
+            back = to_exotic(to_standard(section, phase), phase)
+            residuals = (
+                *intertwining_residual(section, phase, multiplier, mass),
+                commutation_residual(section, field, phase),
+                density_residual(section, phase),
+                float(np.max(np.abs(back.values - section.values))),
+            )
+        # the five section keys lead the table, so zip stops at the kernel pair;
+        # max() would keep the old worst over a nan, so a non-finite value is refused
         for key, value in zip(worst, residuals):
+            if not math.isfinite(value):
+                raise DomainError(f"map-check residual {key} overflows float64")
             worst[key] = max(worst[key], value)
     return [
         (key, worst[key], multiple * tol + fixed)

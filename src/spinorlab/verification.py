@@ -18,6 +18,7 @@ from .dispersion import (
     Structure,
     branch_energies,
     default_degeneracy_tol,
+    energy,
     preferred_branch,
 )
 from .errors import DomainError
@@ -25,7 +26,6 @@ from .lattice import (
     STRUCTURE_TWIST,
     RingSpec,
     analytic_levels,
-    dirac_energies,
     mode_indices,
     ring_modes,
     ring_spectrum,
@@ -325,7 +325,7 @@ def lattice_deviation(spec: RingSpec, field: WindingGradient) -> float:
     """
     if field.k[0] != 0.0 or field.k[1] != 0.0:
         raise DomainError("field must point along the ring")
-    lattice = np.sort(dirac_energies(spec.mass, ring_spectrum(spec)))
+    lattice = np.sort(energy(spec.mass, ring_spectrum(spec)[:, None]))
     ring_momenta = TWO_PI * mode_indices(spec) / spec.circumference
     momenta = np.column_stack((np.zeros((len(ring_momenta), 2)), ring_momenta))
     # the minus branch adds c*k3; with no shift it is the standard branch
@@ -350,19 +350,29 @@ def lattice_checks() -> list[Check]:
         _, _, energy, size = ring_modes(RingSpec(8, TWO_PI, twist, mass))
         return float(energy[0]), int(size[0]), int(size[size[0]])
 
-    energy, first, second = ground(1.0, Structure.STANDARD)
-    ok = abs(energy - 1.0) <= 1e-9 and first == 1 and second == 2
-    energy, first, _ = ground(1.0, Structure.EXOTIC)
-    ok = ok and abs(energy - math.sqrt(1.25)) <= 1e-9 and first == 2
+    lowest, first, second = ground(1.0, Structure.STANDARD)
+    ok = abs(lowest - 1.0) <= 1e-9 and first == 1 and second == 2
+    lowest, first, _ = ground(1.0, Structure.EXOTIC)
+    ok = ok and abs(lowest - math.sqrt(1.25)) <= 1e-9 and first == 2
     ok = ok and abs(ground(0.0, Structure.STANDARD)[0]) <= 1e-12
     ok = ok and abs(ground(0.0, Structure.EXOTIC)[0] - 0.5) <= 1e-12
     checks.append(Check("degeneracy-lifting", ok, "ground multiplicity 1 vs 2"))
 
-    # ascending, so E -> -E pairs the i-th lowest level with the i-th highest
+    # ascending, so E -> -E pairs the i-th lowest level with the i-th highest;
+    # the 2N Dirac operator forms no square root, so its levels also check
+    # +-energy(m, e_n) on the analytic e_n, independently of the closed form
     massive = RingSpec(sites=8, circumference=TWO_PI, twist=0.0, mass=1.0)
     values = ring_spectrum(massive, first_order=False)
     sym = float(np.max(np.abs(values + values[::-1])))
-    checks.append(Check("charge-symmetry", sym <= 1e-12, f"E -> -E asymmetry {sym:.3g}"))
+    energies = energy(massive.mass, analytic_levels(massive)[:, None])
+    closed = float(np.max(np.abs(values - np.sort(np.concatenate((-energies, energies))))))
+    checks.append(
+        Check(
+            "charge-symmetry",
+            max(sym, closed) <= 1e-12,
+            f"E -> -E asymmetry {sym:.3g}, vs +-sqrt(m^2 + e_n^2) {closed:.3g}",
+        )
+    )
 
     half_integer = RingSpec(8, TWO_PI, STRUCTURE_TWIST[Structure.EXOTIC], 1.0)
     field = gradient_field(build_theta(8, TWO_PI, 1), scale=shift_coefficient(1.0))

@@ -595,6 +595,22 @@ def test_map_check_names_a_dirac_image_that_overflows(capsys, tmp_path):
     assert err == "error: Dirac operator D psi overflows float64 at m = 10000000000.0\n"
 
 
+def test_map_check_refuses_a_residual_that_overflows(capsys, tmp_path):
+    # |psi|^2 overflows at 1e305, so the density residual is not finite; max()
+    # used to keep the old worst over it and print a passing "density": 0.0
+    path = tmp_path / "section.json"
+    values = np.full((16, 4), 1e305, dtype=complex)
+    path.write_text(section_to_json(SampledSection(values, Structure.EXOTIC, TWO_PI)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "map-check", "--section-file", str(path), "--sites", "16",
+            "--sections", "0", "--m", "1",
+        )
+    assert (code, out) == (3, "")
+    assert err == "error: map-check residual density overflows float64\n"
+
+
 # edge values for map-check's float flags, each passed as --flag=value so that
 # argparse does not read -inf as an option
 _EDGE_FLOATS = (

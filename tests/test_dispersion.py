@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -15,6 +16,7 @@ from spinorlab.dispersion import (
     Preference,
     branch_energies,
     default_degeneracy_tol,
+    energy,
     preferred_branch,
     signed_shift,
 )
@@ -211,6 +213,71 @@ def _decimal_gap(m, p, k, scale):
         return float(e_minus - e_plus)
 
 
+FLOAT_MAX = Decimal(sys.float_info.max)
+EXACT_COLUMNS = ("exact_standard", "exact_plus", "exact_minus", "gap_exact")
+
+
+def _decimal_exact(m, p, k, scale=1.0):
+    """The four exact columns at 60 digits, and 4 sum|s k_i p_i| / (E- + E+).
+
+    Every sum is exact (fractions) before one 60-digit division and root,
+    and the gap is the identity 4 s(k.p) / (E- + E+), so nothing cancels at
+    any magnitude.  The last value bounds how far rounding of the float dot
+    product s*(k.p) moves the gap.
+    """
+
+    def decimal(value: Fraction) -> Decimal:
+        return Decimal(value.numerator) / Decimal(value.denominator)
+
+    fm = Fraction(m)
+    fp = [Fraction(x) for x in p]
+    fk = [Fraction(x) * Fraction(scale) for x in k]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        standard, plus, minus = (
+            decimal(fm * fm + sum(v * v for v in vector)).sqrt()
+            for vector in (fp, [a - b for a, b in zip(fp, fk)], [a + b for a, b in zip(fp, fk)])
+        )
+        total = minus + plus
+        dot = sum(a * b for a, b in zip(fp, fk))
+        gap = 4 * decimal(dot) / total if dot else Decimal(0)
+        spread = 4 * decimal(sum(abs(a * b) for a, b in zip(fp, fk))) / total if total else 0
+        return (standard, plus, minus, gap), spread
+
+
+# Each exact column is within ULPS ulps of its reference: the plain root
+# rounds four times, the np.hypot chain three times at most one ulp each,
+# and the gap's quotient twice.  The gap also carries the float dot
+# product's rounding, at most 3 eps * spread (Higham, Accuracy and
+# Stability of Numerical Algorithms, ch. 3).  In 70000 log-uniform draws over
+# the whole float64 range the worst was 1.0 ulp for an energy, 1.4 for the gap.
+ULPS = 4
+
+
+def _ulp(reference: Decimal) -> Decimal:
+    return Decimal(math.ulp(float(reference))) if reference else Decimal(2.0**-1074)
+
+
+def _check_exact_columns(mass, p, k, scale=1.0):
+    """branch_energies' exact columns against the decimal reference.
+
+    A DomainError is allowed only where a reference energy exceeds float64.
+    """
+    references, spread = _decimal_exact(mass, p, k, scale)
+    try:
+        energies = branch_energies(mass, np.array([p]), np.array(k), scale, formula="exact")
+    except DomainError as exc:
+        assert str(exc).startswith("exact energy overflows float64 at p = (")
+        assert max(references[:3]) > FLOAT_MAX
+        return
+    for name, reference in zip(EXACT_COLUMNS, references):
+        error = abs(Decimal(float(getattr(energies, name)[0])) - reference)
+        bound = ULPS * _ulp(reference)
+        if name == "gap_exact":
+            bound += 3 * Decimal(2.0**-52) * spread
+        assert error <= bound, name
+
+
 def test_batched_rows_match_the_per_mode_arithmetic():
     rng = np.random.default_rng(23)
     momenta = rng.uniform(-3.0, 3.0, (300, 3))
@@ -278,18 +345,22 @@ def test_pole_rejected_anywhere_in_the_batch():
         (1e160, (0.0, 0.0, 1.0), (0.0, 0.0, 0.01), 1.0, "m^2 + |p|^2"),
         (1.0, (0.0, 0.0, 1e154), (0.0, 0.0, 1e200), 1.0, "s*(k.p)"),
         (1.0, (0.0, 0.0, 1.0), (0.0, 0.0, 1e10), 1e300, "s*(k.p)"),
-        (1.0, (0.0, 0.0, 1.0), (0.0, 0.0, 1e160), 1.0, "exact energy"),
-        (1.0, (1e154, 0.0, 0.0), (0.0, 0.0, 1e154), 1.0, "exact energy"),
+        # energies near 1e160 and 1.4e154, which float64 holds
+        (1.0, (0.0, 0.0, 1.0), (0.0, 0.0, 1e160), 1.0, None),
+        (1.0, (1e154, 0.0, 0.0), (0.0, 0.0, 1e154), 1.0, None),
     ],
 )
 def test_overflow_is_a_domain_error_without_warnings(mass, momentum, k, scale, label):
+    # the semiclassical columns, in E^2 units, refuse what overflows by name;
+    # the exact ones refuse only an energy above float64, and otherwise
+    # match the decimal reference
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError) as caught:
-            branch_energies(mass, np.array([momentum]), np.array(k), scale)
-        assert str(caught.value).startswith(f"{label} overflows float64 at p = (")
-        with pytest.raises(DomainError, match="overflows"):
-            branch_energies(mass, np.array([momentum]), np.array(k), scale, "exact")
+        if label is not None:
+            with pytest.raises(DomainError) as caught:
+                branch_energies(mass, np.array([momentum]), np.array(k), scale)
+            assert str(caught.value).startswith(f"{label} overflows float64 at p = (")
+        _check_exact_columns(mass, momentum, k, scale)
 
 
 def test_default_tol_overflow_is_named_without_warnings():
@@ -305,12 +376,15 @@ def test_default_tol_overflow_is_named_without_warnings():
 
 
 def test_scalar_overflow_is_a_domain_error():
-    # each formula on its own rejects a momentum whose |p|^2 overflows
-    for formula in ("semiclassical", "exact"):
-        with pytest.raises(DomainError, match="overflows"):
-            _one_row(1.0, [0.0, 0.0, 1e200], FIELD, formula)
-    # the semiclassical formula alone never forms |p -+ s*k|^2, so a huge
-    # gradient that overflows the exact energies does not stop it
+    # the semiclassical formula rejects a momentum whose |p|^2 overflows;
+    # the exact energies of that momentum fit in float64
+    with pytest.raises(DomainError, match="overflows"):
+        _one_row(1.0, [0.0, 0.0, 1e200], FIELD, "semiclassical")
+    exact = _one_row(1.0, [0.0, 0.0, 1e200], FIELD, "exact")
+    assert exact.exact_standard[0] == exact.exact_minus[0] == 1e200
+    assert exact.gap_exact[0] == pytest.approx(0.02, rel=1e-15)
+    # the semiclassical formula alone never forms |p -+ s*k|^2, so a steep
+    # gradient does not stop it
     steep = WindingGradient(k=np.array([0.0, 0.0, 1e160]))
     semi = branch_energies(1.0, np.array([[0.0, 0.0, 1.0]]), steep.k, formula="semiclassical")
     assert semi.semiclassical_plus[0] == pytest.approx(2.0 - 0.5e160)
@@ -387,19 +461,105 @@ _ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
     k=st.tuples(_ANY_FINITE, _ANY_FINITE, _ANY_FINITE),
 )
 def test_exact_gap_sign_over_the_whole_finite_range(mass, p, k):
+    (*roots, reference), _ = _decimal_exact(mass, p, k)
     try:
         energies = branch_energies(mass, np.array([p]), np.array(k), formula="exact")
     except DomainError as exc:
+        # only an energy that float64 cannot hold is refused
         assert "overflows float64" in str(exc)
+        assert max(roots) > FLOAT_MAX
         return
     signed = energies.signed_shift[0]
     gap = energies.gap_exact[0]
-    # never the opposite sign; zero only where s*(k.p) is zero or the
-    # quotient 4 s*(k.p) / (E_minus + E_plus) is below the smallest subnormal
-    assert _sign(gap) * _sign(signed) >= 0
-    if gap == 0.0 and signed != 0.0:
-        denominator = energies.exact_minus[0] + energies.exact_plus[0]
-        assert 4 * abs(Fraction(signed)) / Fraction(denominator) < Fraction(2.0**-1074)
+    # never the opposite sign of a finite s*(k.p); zero only where the true
+    # gap is below the smallest subnormal; and above it, the sign of the true
+    # k.p wherever that exceeds the rounding bound of the three-term dot product
+    if math.isfinite(signed):
+        assert _sign(gap) * _sign(signed) >= 0
+    smallest = Decimal(2.0**-1074)
+    if gap == 0.0:
+        assert abs(reference) < smallest
+    exact_kp = sum(Fraction(a) * Fraction(b) for a, b in zip(k, p))
+    bound = 4 * sum(abs(Fraction(a) * Fraction(b)) for a, b in zip(k, p)) / 2**53
+    if abs(exact_kp) > bound and abs(reference) >= smallest:
+        assert _sign(gap) == _sign(exact_kp)
+
+
+_MAGNITUDE = st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent)
+_SIGNED_MAGNITUDE = st.one_of(st.just(0.0), _MAGNITUDE, _MAGNITUDE.map(lambda x: -x))
+_WIDE_VECTOR = st.tuples(_SIGNED_MAGNITUDE, _SIGNED_MAGNITUDE, _SIGNED_MAGNITUDE)
+
+
+@settings(max_examples=500, deadline=None)
+@given(mass=st.one_of(st.just(0.0), _MAGNITUDE), p=_WIDE_VECTOR, k=_WIDE_VECTOR)
+def test_exact_columns_match_a_decimal_reference(mass, p, k):
+    # log-uniform magnitudes from 1e-300 to 1e300, zeros and both signs:
+    # sums of squares overflow and underflow, and s*(k.p) with them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _check_exact_columns(mass, p, k)
+
+
+@pytest.mark.parametrize(
+    "mass, p3, k3, reference",
+    [
+        (1e-200, 1e-200, 1e-210, "1.4142135623730950e-210"),
+        (1e200, 0.0, 1.0, "0"),
+        (0.0, 0.25, 8.988e307, "0.5"),
+    ],
+)
+def test_exact_columns_at_the_float64_edges(mass, p3, k3, reference):
+    # each of these printed 0.0, was refused, or read a gap of 0.0
+    p, k = (0.0, 0.0, p3), (0.0, 0.0, k3)
+    energies = branch_energies(mass, np.array([p]), np.array(k), formula="exact")
+    assert float(energies.gap_exact[0]) == pytest.approx(float(reference), rel=1e-15, abs=0.0)
+    _check_exact_columns(mass, p, k)
+
+
+def test_semiclassical_rest_that_underflows_is_named():
+    with pytest.raises(DomainError) as caught:
+        branch_energies(1e-200, np.zeros((1, 3)), np.array([0.0, 0.0, 1.0]))
+    assert str(caught.value) == "m^2 + |p|^2 underflows float64 at p = (0.0, 0.0, 0.0)"
+    with pytest.raises(DomainError, match=r"underflows float64 at p = \(0\.0, 1e-170, 0\.0\)"):
+        branch_energies(0.0, np.array([[0.0, 1e-170, 0.0]]), np.zeros(3), formula="both")
+    # the exact formula holds that energy
+    assert branch_energies(1e-200, np.zeros((1, 3)), np.zeros(3), formula="exact").exact_standard[0] == 1e-200
+
+
+def test_energy_is_the_closed_form_and_reads_inf_above_float64():
+    rng = np.random.default_rng(17)
+    for mass in (0.0, 0.3, 7.5):
+        levels = rng.uniform(-50.0, 50.0, 64)
+        # np.square rounds like ** 2, and vecdot of one entry like np.square: the same bits
+        assert np.array_equal(energy(mass, levels[:, None]), np.sqrt(mass**2 + levels**2))
+    # a square that overflows or underflows is scaled away by np.hypot
+    assert np.array_equal(energy(1e200, np.ones((4, 1))), np.full(4, 1e200))
+    assert np.array_equal(energy(0.0, np.array([[1.0], [2e154]])), [1.0, 2e154])
+    assert energy(1e-200, np.array([[0.0], [3e-200]]))[0] == 1e-200
+    # only an energy above float64 reads inf, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert energy(1.7e308, np.array([[8e307]]))[0] == math.inf
+
+
+def _log_uniform():
+    # 2**-996 ~ 1.5e-300 up to just below the largest float, 2**1024
+    return st.floats(-996.0, 1023.99).map(lambda exponent: 2.0**exponent)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mass=_log_uniform(), level=_log_uniform(), sign=st.sampled_from([-1.0, 1.0]))
+def test_energy_matches_a_decimal_reference(mass, level, sign):
+    with localcontext() as context:
+        context.prec = 60
+        reference = (Decimal(mass) ** 2 + Decimal(level) ** 2).sqrt()
+        value = energy(mass, np.array([[sign * level]]))[0]
+        if not math.isfinite(value):
+            assert reference > FLOAT_MAX
+            return
+        # the plain root rounds four times and np.hypot is within one ulp
+        error = abs(Decimal(float(value)) - reference)
+        assert error <= 2 * Decimal(np.finfo(float).eps) * reference
 
 
 def test_verification_gap_checks_draw_the_same_samples(monkeypatch):

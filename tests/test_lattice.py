@@ -1,7 +1,5 @@
 import math
-import sys
 import tracemalloc
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinorlab import lattice
-from spinorlab.dispersion import Structure, branch_energies
+from spinorlab.dispersion import Structure, branch_energies, energy
 from spinorlab.errors import DomainError
 from spinorlab.lattice import (
     LEVEL_TOL,
@@ -21,7 +19,6 @@ from spinorlab.lattice import (
     _group_levels,
     _sector_matrix,
     analytic_levels,
-    dirac_energies,
     mode_indices,
     ring_modes,
     ring_spectrum,
@@ -179,7 +176,7 @@ def test_sector_split_matches_the_analytic_spectrum(half, length, twist, mass):
     top = (math.pi * spec.sites + abs(twist)) / length
     levels = analytic_levels(spec)
     assert np.max(np.abs(ring_spectrum(spec) - levels)) <= 2e-14 * top
-    energies = dirac_energies(mass, levels)
+    energies = energy(mass, levels[:, None])
     expected = np.sort(np.concatenate([-energies, energies]))
     dirac = ring_spectrum(spec, first_order=False)
     assert np.max(np.abs(dirac - expected)) <= 2e-14 * (top + mass)
@@ -232,21 +229,6 @@ def test_a_ring_whose_levels_overflow_is_refused():
             ring_spectrum(spec)
 
 
-def test_dirac_energies_are_the_closed_form_and_refuse_overflow():
-    rng = np.random.default_rng(17)
-    for mass in (0.0, 0.3, 7.5):
-        levels = rng.uniform(-50.0, 50.0, 64)
-        # np.square rounds like ** 2: the same bits
-        assert np.array_equal(dirac_energies(mass, levels), np.sqrt(mass**2 + levels**2))
-    # a square that overflows or underflows is scaled away by np.hypot
-    assert np.array_equal(dirac_energies(1e200, np.ones(4)), np.full(4, 1e200))
-    assert np.array_equal(dirac_energies(0.0, np.array([1.0, 2e154])), [1.0, 2e154])
-    assert dirac_energies(1e-200, np.array([0.0, 3e-200]))[0] == 1e-200
-    # only an energy above float64 is refused
-    with pytest.raises(DomainError, match=r"sqrt\(m\^2 \+ e_n\^2\) overflows float64"):
-        dirac_energies(1.7e308, np.array([8e307]))
-
-
 def test_ring_modes_refuses_an_overflowing_energy_on_the_exact_levels(monkeypatch):
     # at twist pi the largest |e_n| is pi*(N - 1)/L, one level inside the
     # (pi*N + |twist|)/L that RingSpec checks: that ring is solved at
@@ -259,30 +241,6 @@ def test_ring_modes_refuses_an_overflowing_energy_on_the_exact_levels(monkeypatc
     beyond = RingSpec(sites=8, circumference=2e-307, twist=math.pi, mass=1.5e308)
     with pytest.raises(DomainError, match=r"m = 1\.5e\+308, N = 8, L = 2e-307, twist = 3\.14"):
         ring_modes(beyond)
-
-
-FLOAT_MAX = Decimal(sys.float_info.max)
-
-
-def _log_uniform():
-    # 2**-996 ~ 1.5e-300 up to just below the largest float, 2**1024
-    return st.floats(-996.0, 1023.99).map(lambda exponent: 2.0**exponent)
-
-
-@settings(max_examples=300, deadline=None)
-@given(mass=_log_uniform(), level=_log_uniform(), sign=st.sampled_from([-1.0, 1.0]))
-def test_dirac_energies_match_a_decimal_reference(mass, level, sign):
-    with localcontext() as context:
-        context.prec = 60
-        reference = (Decimal(mass) ** 2 + Decimal(level) ** 2).sqrt()
-        try:
-            energy = dirac_energies(mass, np.array([sign * level]))[0]
-        except DomainError:
-            assert reference > FLOAT_MAX
-            return
-        # the plain root rounds four times and np.hypot is within one ulp
-        error = abs(Decimal(float(energy)) - reference)
-        assert error <= 2 * Decimal(np.finfo(float).eps) * reference
 
 
 def test_full_turn_shifts_every_level_by_one_mode():

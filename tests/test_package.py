@@ -47,6 +47,7 @@ def test_one_dispersion_api_and_an_oracle_only_lattice():
         "Structure",
         "branch_energies",
         "default_degeneracy_tol",
+        "energy",
         "preferred_branch",
         "signed_shift",
     }
@@ -54,7 +55,6 @@ def test_one_dispersion_api_and_an_oracle_only_lattice():
     assert _defined_here(lattice) == {
         "RingSpec",
         "analytic_levels",
-        "dirac_energies",
         "mode_indices",
         "ring_modes",
         "ring_spectrum",
