@@ -32,11 +32,9 @@ from .lattice import (
 )
 from .magma import FiniteMagma, StructureReport, analyze, builtin, compose
 from .sections import (
-    HalfWindingPhase,
     SampledSection,
     commutation_residual,
     density_residual,
-    half_phase,
     intertwining_residual,
     to_exotic,
     to_standard,
@@ -59,7 +57,6 @@ __all__ = [
     "ChainStep",
     "DomainError",
     "FiniteMagma",
-    "HalfWindingPhase",
     "Preference",
     "RingSpec",
     "SampledSection",
@@ -76,7 +73,6 @@ __all__ = [
     "default_degeneracy_tol",
     "density_residual",
     "gradient_field",
-    "half_phase",
     "intertwining_residual",
     "involute",
     "involuted",

@@ -99,6 +99,21 @@ def _normal(values: np.ndarray) -> np.ndarray:
     return np.isfinite(values) & (np.abs(values) >= _TINY)
 
 
+def _rest(mass, momenta: np.ndarray) -> np.ndarray:
+    return np.square(mass) + np.vecdot(momenta, momenta)
+
+
+def _root(squares: np.ndarray, mass, vectors: np.ndarray) -> np.ndarray:
+    """energy from squares = _rest(mass, vectors), for a caller that already holds it."""
+    energies = np.sqrt(squares)
+    edge = ~_normal(squares)
+    scaled = np.broadcast_to(mass, energies.shape)[edge]
+    for column in vectors[edge].T:
+        scaled = np.hypot(scaled, column)
+    energies[edge] = scaled
+    return energies
+
+
 def energy(mass, vectors: np.ndarray) -> np.ndarray:
     """sqrt(m^2 + |v|^2) for each row v of an (N, d) array; mass is one number or N.
 
@@ -107,14 +122,7 @@ def energy(mass, vectors: np.ndarray) -> np.ndarray:
     squaring (LAPACK dlapy2).  An energy above float64 reads inf.
     """
     with np.errstate(over="ignore"):
-        squares = np.square(mass) + np.vecdot(vectors, vectors)
-        energies = np.sqrt(squares)
-        edge = ~_normal(squares)
-        scaled = np.broadcast_to(mass, energies.shape)[edge]
-        for column in vectors[edge].T:
-            scaled = np.hypot(scaled, column)
-        energies[edge] = scaled
-    return energies
+        return _root(_rest(mass, vectors), mass, vectors)
 
 
 def _refuse(bad: np.ndarray, what: str, momenta: np.ndarray) -> None:
@@ -126,10 +134,6 @@ def _refuse(bad: np.ndarray, what: str, momenta: np.ndarray) -> None:
 def _finite(label: str, values: np.ndarray, momenta: np.ndarray) -> np.ndarray:
     _refuse(~np.isfinite(values), f"{label} overflows", momenta)
     return values
-
-
-def _rest(mass, momenta: np.ndarray) -> np.ndarray:
-    return np.square(mass) + np.vecdot(momenta, momenta)
 
 
 def _signed(momenta: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
@@ -223,8 +227,12 @@ def branch_energies(
     if formula != "semiclassical":
         shift = scale * k
         standard, plus, minus = (
-            _finite("exact energy", energy(masses, vectors), momenta)
-            for vectors in (momenta, momenta - shift, momenta + shift)
+            _finite("exact energy", roots, momenta)
+            for roots in (
+                _root(rest, masses, momenta),
+                energy(masses, momenta - shift),
+                energy(masses, momenta + shift),
+            )
         )
         energies.update(
             exact_standard=standard,
@@ -250,7 +258,11 @@ def default_degeneracy_tol(momentum: np.ndarray):
 
     1e-12 * (|p|^2 + 1): a float for one 3-momentum, an array for an (N, 3)
     batch.  A momentum whose |p|^2 overflows float64 is rejected by name,
-    and so is any other shape.
+    and so is any other shape.  The absolute floor of 1e-12 is deliberate:
+    a splitting below it in E^2 units counts as no field, so a table is not
+    picked by a product that only a rounding-sized bound (eps*|s||k||p|)
+    would resolve.  At p = k = (0, 0, 1e-7), s*(k.p) = 1e-14 is degenerate;
+    an explicit tol gives a finer band.
     """
     momentum = np.asarray(momentum, dtype=float)
     if momentum.shape != (3,) and (momentum.ndim != 2 or momentum.shape[1] != 3):

@@ -3,14 +3,17 @@
 Sections of the two spinor structures are sampled on the same ring grid as
 the angle fields: an (N, 4) complex array of spinor values at x_j = j*L/N.
 The map between structures is pointwise multiplication by the unimodular
-half phase U(x) = exp(i*theta(x)/2), built from the unwrapped angle so the
-lift through the double cover is smooth.  U^2 is single-valued with the
-winding of theta; U itself is single-valued only for even winding, so the
-image of a periodic section picks up an antiperiodic boundary sector when
-the winding is odd.  Each section carries that sector as a flag and the
-ring derivative respects it (antiperiodic data is differentiated on the
-doubled ring, never by re-using the phase factor, so the intertwining
-checks below are not circular).
+half phase U(x) = exp(i*theta(x)/2).  U is a property of the angle field
+alone, so it lives there as ThetaField.half_phase, built from the
+unwrapped angle so the lift through the double cover is smooth, and the
+map and the residuals below take the ThetaField itself.  U^2 is
+single-valued with the winding of theta; U itself is single-valued only
+for even winding, so the image of a periodic section picks up an
+antiperiodic boundary sector when the winding is odd.  Each section
+carries that sector as a flag and the ring derivative respects it
+(antiperiodic data is differentiated on the doubled ring, never by
+re-using the phase factor, so the intertwining checks below are not
+circular).
 
 Operator conventions, fixed once here: with the Dirac-representation
 matrices and the mode ansatz exp(-i*E*t) chi(x3), the standard operator
@@ -34,7 +37,7 @@ scale s = 1 the identities
 hold exactly; the residual functions report how far a given section is
 from them.  intertwining_residual measures both identities in one pass, and
 map_checks lists every phase-map residual and the kernel pair as (key,
-value, bound) from one half phase and one multiplier, the one list of
+value, bound) from one angle field and one multiplier, the one list of
 bounds that map-check and verify's sections suite both read.  Plane-wave
 kernel modes of D_plus at ring momentum q sit at E = sqrt(m^2 + (q +
 c*k3)^2), c = shift_coefficient(s): the closed form's minus branch at c
@@ -47,19 +50,12 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dispersion import Structure
-from .errors import (
-    DomainError,
-    as_winding,
-    check_circumference,
-    check_finite,
-    check_mass,
-    check_tol,
-)
+from .errors import DomainError, check_circumference, check_finite, check_mass, check_tol
 from .gamma import GAMMA0, GAMMA3
 from .winding import (
     ThetaField,
@@ -68,26 +64,6 @@ from .winding import (
     pointwise_gradient,
     shift_coefficient,
 )
-
-__all__ = [
-    "SampledSection",
-    "HalfWindingPhase",
-    "half_phase",
-    "to_standard",
-    "to_exotic",
-    "ring_derivative",
-    "dirac",
-    "intertwining_residual",
-    "commutation_residual",
-    "density_residual",
-    "map_checks",
-    "grid_norm",
-    "random_band_limited_section",
-    "plane_wave_section",
-    "kernel_mode",
-    "section_to_json",
-    "section_from_json",
-]
 
 
 @dataclass(frozen=True)
@@ -114,76 +90,37 @@ class SampledSection:
         return int(self.values.shape[0])
 
 
-@dataclass(frozen=True)
-class HalfWindingPhase:
-    """Unimodular samples of exp(i*theta/2); squares to winding w."""
-
-    values: np.ndarray
-    winding: int
-    circumference: float
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1 or values.size < 4:
-            raise DomainError("phase must be a 1-d array with at least 4 samples")
-        # not <=: a nan sample compares false and is refused too
-        if not np.max(np.abs(np.abs(values) - 1.0)) <= 1e-12:
-            raise DomainError("phase samples must be unimodular")
-        check_circumference(self.circumference)
-        object.__setattr__(self, "winding", as_winding(self.winding))
-
-    @property
-    def sites(self) -> int:
-        return int(self.values.size)
-
-
-def half_phase(theta: ThetaField) -> HalfWindingPhase:
-    """Half-angle phase of a winding field, lifted smoothly.
-
-    The samples are unwrapped before halving; halving the mod-2*pi
-    representative instead would flip sign from sample to sample, which is
-    precisely the double-valuedness this map exists to absorb.
-    """
-    unwrapped = np.unwrap(theta.samples)
-    return HalfWindingPhase(
-        values=np.exp(0.5j * unwrapped),
-        winding=theta.winding,
-        circumference=theta.circumference,
-    )
-
-
-def _check_grid(section: SampledSection, grid: HalfWindingPhase | ThetaField) -> None:
-    """The section must sit on the ring grid of the phase or angle field."""
-    if section.sites != grid.sites:
+def _check_grid(section: SampledSection, theta: ThetaField) -> None:
+    """The section must sit on the ring grid of the angle field and its phase."""
+    if section.sites != theta.sites:
         raise DomainError("section and phase live on different grids")
-    if abs(section.circumference - grid.circumference) > 1e-12 * grid.circumference:
+    if abs(section.circumference - theta.circumference) > 1e-12 * theta.circumference:
         raise DomainError("section and phase circumferences differ")
 
 
-def to_standard(section: SampledSection, phase: HalfWindingPhase) -> SampledSection:
+def to_standard(section: SampledSection, theta: ThetaField) -> SampledSection:
     """Carry an exotic section to the standard structure (multiply by U)."""
-    _check_grid(section, phase)
+    _check_grid(section, theta)
     if section.structure is not Structure.EXOTIC:
         raise DomainError("to_standard expects an exotic section")
     return SampledSection(
-        values=section.values * phase.values[:, None],
+        values=section.values * theta.half_phase[:, None],
         structure=Structure.STANDARD,
         circumference=section.circumference,
-        antiperiodic=section.antiperiodic ^ (phase.winding % 2 == 1),
+        antiperiodic=section.antiperiodic ^ (theta.winding % 2 == 1),
     )
 
 
-def to_exotic(section: SampledSection, phase: HalfWindingPhase) -> SampledSection:
+def to_exotic(section: SampledSection, theta: ThetaField) -> SampledSection:
     """Inverse map: standard to exotic (multiply by conj(U))."""
-    _check_grid(section, phase)
+    _check_grid(section, theta)
     if section.structure is not Structure.STANDARD:
         raise DomainError("to_exotic expects a standard section")
     return SampledSection(
-        values=section.values * np.conj(phase.values)[:, None],
+        values=section.values * np.conj(theta.half_phase)[:, None],
         structure=Structure.EXOTIC,
         circumference=section.circumference,
-        antiperiodic=section.antiperiodic ^ (phase.winding % 2 == 1),
+        antiperiodic=section.antiperiodic ^ (theta.winding % 2 == 1),
     )
 
 
@@ -215,13 +152,13 @@ def dirac(
     mass: float,
     energy: float = 0.0,
     multiplier: np.ndarray | None = None,
-) -> SampledSection:
+) -> np.ndarray:
     """Apply D0 on a mode ansatz section, plus multiplier * g3 when given.
 
-    multiplier holds one pointwise factor per site: -(s/2)*theta' gives
-    D_plus at scale s, and its negation D_minus (see module docstring).
-    Finite values whose image overflows float64 are a DomainError naming
-    the operator and m.
+    Returns the (N, 4) array of image values.  multiplier holds one
+    pointwise factor per site: -(s/2)*theta' gives D_plus at scale s, and
+    its negation D_minus (see module docstring).  Finite values whose image
+    overflows float64 are a DomainError naming the operator and m.
     """
     check_mass(mass)
     if multiplier is not None:
@@ -240,7 +177,7 @@ def dirac(
             values = values + _shift(section.values, multiplier)
     if not np.isfinite(values).all():
         raise DomainError(f"Dirac operator D psi overflows float64 at m = {mass!r}")
-    return replace(section, values=values)
+    return values
 
 
 def _scaled_to_largest(values: np.ndarray) -> tuple[np.ndarray, float]:
@@ -270,7 +207,7 @@ def grid_norm(values: np.ndarray, circumference: float) -> float:
 
 def intertwining_residual(
     section: SampledSection,
-    phase: HalfWindingPhase,
+    theta: ThetaField,
     multiplier: np.ndarray,
     mass: float,
     energy: float = 0.0,
@@ -281,19 +218,20 @@ def intertwining_residual(
     D_plus = D0 + multiplier*g3 and D_minus = D0 - multiplier*g3.  Returns
     (plus, minus): ||U*(D_plus psi) - D0(U*psi)|| and ||U*(D0 psi) -
     D_minus(U*psi)|| on an exotic section psi, from one D0 psi, one D0(U*psi)
-    and one U.  Both vanish to rounding at scale 1 for band-limited sections.
+    and theta's one U.  Both vanish to rounding at scale 1 for band-limited
+    sections.
     """
-    image = to_standard(section, phase)
-    free = dirac(section, mass, energy).values
-    free_image = dirac(image, mass, energy).values
-    u = phase.values[:, None]
+    image = to_standard(section, theta)
+    free = dirac(section, mass, energy)
+    free_image = dirac(image, mass, energy)
+    u = theta.half_phase[:, None]
     plus = (free + _shift(section.values, multiplier)) * u - free_image
     minus = free * u - (free_image + _shift(image.values, -multiplier))
     return grid_norm(plus, section.circumference), grid_norm(minus, section.circumference)
 
 
 def commutation_residual(
-    section: SampledSection, field: WindingGradient, phase: HalfWindingPhase
+    section: SampledSection, field: WindingGradient, theta: ThetaField
 ) -> float:
     """Sup-norm commutator of the phase with the multiplier -c*k3, c = field.scale.
 
@@ -301,19 +239,20 @@ def commutation_residual(
     commutes with multiplication by U up to rounding; with zero winding both
     sides are identically zero and the residual is exactly 0.0.
     """
-    _check_grid(section, phase)
+    _check_grid(section, theta)
+    u = theta.half_phase[:, None]
     multiplier = -field.scale * field.k[2]
     shifted = multiplier * (section.values @ GAMMA3.T)
-    lhs = shifted * phase.values[:, None]
-    rhs = multiplier * ((section.values * phase.values[:, None]) @ GAMMA3.T)
+    lhs = shifted * u
+    rhs = multiplier * ((section.values * u) @ GAMMA3.T)
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def density_residual(section: SampledSection, phase: HalfWindingPhase) -> float:
+def density_residual(section: SampledSection, theta: ThetaField) -> float:
     """Max pointwise change of the spinor density under the phase map."""
-    _check_grid(section, phase)
+    _check_grid(section, theta)
     before = np.sum(np.abs(section.values) ** 2, axis=1)
-    after = np.sum(np.abs(section.values * phase.values[:, None]) ** 2, axis=1)
+    after = np.sum(np.abs(section.values * theta.half_phase[:, None]) ** 2, axis=1)
     return float(np.max(np.abs(after - before)))
 
 
@@ -443,22 +382,21 @@ def map_checks(
     # the kernel mode first: it rejects an overflowing energy before any
     # array is scaled or a section scanned
     mode, energy = kernel_mode(theta, mass, harmonic, scale)
-    phase = half_phase(theta)
     field = gradient_field(theta, scale=shift_coefficient(scale))
     multiplier = -field.scale * pointwise_gradient(theta)
     length = theta.circumference
     worst = dict.fromkeys(_BOUNDS, 0.0)
-    worst["kernel_residual"] = grid_norm(dirac(mode, mass, energy, multiplier).values, length)
+    worst["kernel_residual"] = grid_norm(dirac(mode, mass, energy, multiplier), length)
     worst["mapped_kernel_residual"] = grid_norm(
-        dirac(to_standard(mode, phase), mass, energy).values, length
+        dirac(to_standard(mode, theta), mass, energy), length
     )
     for section in sections:
         with np.errstate(over="ignore", invalid="ignore"):
-            back = to_exotic(to_standard(section, phase), phase)
+            back = to_exotic(to_standard(section, theta), theta)
             residuals = (
-                *intertwining_residual(section, phase, multiplier, mass),
-                commutation_residual(section, field, phase),
-                density_residual(section, phase),
+                *intertwining_residual(section, theta, multiplier, mass),
+                commutation_residual(section, field, theta),
+                density_residual(section, theta),
                 float(np.max(np.abs(back.values - section.values))),
             )
         # the five section keys lead the table, so zip stops at the kernel pair;

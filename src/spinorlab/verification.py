@@ -30,7 +30,7 @@ from .lattice import (
     ring_modes,
     ring_spectrum,
 )
-from .sections import half_phase, map_checks, random_band_limited_section, to_standard
+from .sections import map_checks, random_band_limited_section, to_standard
 from .winding import (
     TWO_PI,
     WindingGradient,
@@ -180,10 +180,9 @@ def sections_checks(sections: int = 6, seed: int = 3) -> list[Check]:
     )
 
     flat_theta = build_theta(sites, length, 0)
-    flat_phase = half_phase(flat_theta)
     section = random_band_limited_section(sites, length, rng)
-    image = to_standard(section, flat_phase)
-    identity = bool(np.all(flat_phase.values == 1.0))
+    image = to_standard(section, flat_theta)
+    identity = bool(np.all(flat_theta.half_phase == 1.0))
     identity = identity and np.array_equal(image.values, section.values)
     identity = identity and not image.antiperiodic
     # and the flat field selects the parity table

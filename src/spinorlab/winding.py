@@ -9,7 +9,9 @@ integral (holonomy) is quantized in units of 2*pi.
 Angles are stored as raw samples, not equivalence classes.  Whenever a
 winding count or a gradient is needed, successive differences are wrapped
 into (-pi, pi] first, so samples may be reduced mod 2*pi (as `involute`
-produces) without losing the circuit count.
+produces) without losing the circuit count.  The half phase
+U = exp(i*theta/2) that maps sections between the two spinor structures is
+a property of the field: ThetaField.half_phase forms it on first use.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,9 +63,11 @@ class ThetaField:
         check_finite("angle samples", samples)
         check_circumference(self.circumference)
         object.__setattr__(self, "winding", as_winding(self.winding))
-        total = holonomy(self)
+        # not <=: increments that overflow give a nan holonomy, refused too
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = holonomy(self)
         target = TWO_PI * self.winding
-        if abs(total - target) > 1e-9 * (1.0 + abs(self.winding)):
+        if not abs(total - target) <= 1e-9 * (1.0 + abs(self.winding)):
             raise DomainError(
                 f"samples wind {total / TWO_PI:.6f} circuits, expected {self.winding}"
             )
@@ -70,6 +75,19 @@ class ThetaField:
     @property
     def sites(self) -> int:
         return int(self.samples.size)
+
+    @cached_property
+    def half_phase(self) -> np.ndarray:
+        """Read-only unimodular samples of U = exp(i*theta/2), formed on first use.
+
+        The samples are unwrapped before halving; halving the mod-2*pi
+        representative instead would flip sign from sample to sample, which is
+        precisely the double-valuedness the section map exists to absorb.  U
+        squares to exp(i*theta) and is single-valued only for even winding.
+        """
+        phase = np.exp(0.5j * np.unwrap(self.samples))
+        phase.flags.writeable = False
+        return phase
 
 
 def shift_coefficient(scale: float) -> float:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -617,6 +618,8 @@ _EDGE_FLOATS = (
     "nan", "inf", "-inf", "0", "-0", "5e-324", "1e-310", "1e-200",
     "0.5", "1e150", "1e200", "1e308", "-1",
 )
+# a non-finite float as CSV prints it (nan, inf) and as JSON (NaN, Infinity)
+_NOT_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 
 @settings(max_examples=300, deadline=None)
@@ -639,6 +642,94 @@ def test_map_check_output_contract(sites, sections, output, flags):
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     elif output == "json":
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
+    assert not _NOT_FINITE.search(out.getvalue())
+
+
+# the other commands' contract draws from the whole edge pool: ordinary,
+# tiny, huge and non-finite values of both signs, with vectors drawn
+# componentwise; hypothesis favours the first entries, so ordinary ones lead
+_FLOAT = st.sampled_from(
+    (
+        "0.5", "3", "-1", "0", "-0", "1e-30", "1e-200", "1e-310", "5e-324",
+        "1e150", "1e200", "1e308", "-1e200", "nan", "inf", "-inf",
+    )
+)
+_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+def _vector(size):
+    return st.lists(_FLOAT, min_size=size, max_size=size).map(",".join)
+
+
+# command: (required flags, optional flags), each flag with its strategy;
+# sizes stay small (sites <= 64, count <= 20)
+_CONTRACT_COMMANDS = {
+    "dispersion": (
+        {"--m": _FLOAT, "--p": _vector(3), "--k": _vector(3)},
+        {"--scale": _FLOAT, "--formula": st.sampled_from(["semiclassical", "exact", "both"])},
+    ),
+    "sweep": (
+        {
+            "--m": _FLOAT,
+            "--k": _vector(3),
+            "--p3-min": _FLOAT,
+            "--p3-max": _FLOAT,
+            "--count": st.integers(-1, 20),
+        },
+        {"--p-transverse": _vector(2), "--scale": _FLOAT},
+    ),
+    "preference": (
+        {"--p": _vector(3), "--k": _vector(3)},
+        {"--scale": _FLOAT, "--tol": _FLOAT},
+    ),
+    "ring-spectrum": (
+        {"--sites": st.sampled_from([8, 16, 64, 4, 2, 1, 33]), "--length": _FLOAT},
+        {
+            "--m": _FLOAT,
+            "--twist": _FLOAT,
+            "--structure": st.sampled_from(["standard", "exotic"]),
+            "--count": st.integers(-1, 20),
+        },
+    ),
+    "algebra chain": (
+        {
+            "--events": st.sampled_from(["events.json", "parity-events.json"]).map(
+                lambda name: str(_INPUTS / name)
+            ),
+            "--initial": st.sampled_from(["(a,b)", "(b,a)", "S", "C"]),
+            "--p": _vector(3),
+            "--k": _vector(3),
+        },
+        {"--scale": _FLOAT, "--tol": _FLOAT},
+    ),
+}
+
+
+def _contract_argv(command, required, optional):
+    flags = st.fixed_dictionaries(required, optional=optional)
+    return flags.map(lambda drawn: [*command.split(), *(f"{k}={v}" for k, v in drawn.items())])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    argv=st.one_of(*(_contract_argv(name, *flags) for name, flags in _CONTRACT_COMMANDS.items())),
+    output=st.sampled_from(["csv", "json"]),
+)
+def test_cli_output_contract(argv, output):
+    # none of these commands checks an identity, so none may exit 1
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, f"--format={output}"])
+    assert code in (0, 2, 3)
+    if code == 3:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    # the echoed events path is not a value the program computed
+    assert not _NOT_FINITE.search(out.getvalue().replace(str(_INPUTS), ""))
+    if output == "json" and out.getvalue():
         json.loads(out.getvalue(), parse_constant=_refuse_constant)
 
 

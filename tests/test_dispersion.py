@@ -145,6 +145,16 @@ def test_default_tol_tracks_energy_scale():
     assert default_degeneracy_tol(np.array(MOMENTUM)) == pytest.approx(1e-12 * 1.25, abs=1e-24)
 
 
+def test_default_tol_keeps_its_absolute_floor():
+    # the floor is deliberate: s*(k.p) = 1e-14 at p = k = (0, 0, 1e-7) sits
+    # far above its rounding, yet counts as degenerate; a tol resolves it
+    p = np.array([0.0, 0.0, 1e-7])
+    field = WindingGradient(k=p)
+    assert default_degeneracy_tol(p) == 1e-12 * (1e-14 + 1.0)
+    assert preferred_branch(field, p) is Preference.DEGENERATE
+    assert preferred_branch(field, p, tol=1e-20) is Preference.PREFER_PLUS
+
+
 def test_default_tol_of_a_batch_is_its_rows():
     momenta = np.random.default_rng(5).uniform(-3.0, 3.0, (40, 3))
     tols = default_degeneracy_tol(momenta)

@@ -27,7 +27,6 @@ from spinorlab.dispersion import (
 from spinorlab.errors import DomainError
 from spinorlab.lattice import RingSpec
 from spinorlab.sections import (
-    HalfWindingPhase,
     SampledSection,
     dirac,
     kernel_mode,
@@ -118,7 +117,6 @@ RULES = [
             "RingSpec": lambda v: RingSpec(8, v, 0.0),
             "SampledSection": lambda v: SampledSection(np.ones((8, 4)), Structure.EXOTIC, v),
             "ThetaField": lambda v: ThetaField(np.zeros(8), 0, v),
-            "HalfWindingPhase": lambda v: HalfWindingPhase(np.ones(8), 0, v),
             "ring-spectrum --length": lambda v: _cli(
                 "ring-spectrum", "--sites", "8", f"--length={v!r}"
             ),
@@ -206,10 +204,7 @@ RULES = [
     ),
     (
         "winding must be an integer",
-        {
-            "ThetaField": lambda v: ThetaField(np.zeros(8), v, 1.0),
-            "HalfWindingPhase": lambda v: HalfWindingPhase(np.ones(8), v, 1.0),
-        },
+        {"ThetaField": lambda v: ThetaField(np.zeros(8), v, 1.0)},
         NOT_WHOLE,
     ),
 ]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from spinorlab import lattice
 from spinorlab.dispersion import Structure, branch_energies, energy
 from spinorlab.errors import DomainError
+from spinorlab.gamma import GAMMA0, GAMMA3
 from spinorlab.lattice import (
     LEVEL_TOL,
     MAX_DENSE_DIMENSION,
@@ -267,6 +268,22 @@ def _level_starts(size):
     while starts[-1] + size[starts[-1]] < len(size):
         starts.append(starts[-1] + int(size[starts[-1]]))
     return starts
+
+
+def test_the_ring_block_is_a_block_of_the_four_spinor_hamiltonian():
+    # alpha3 = g0 g3 is +1 on spinor components (0, 2) and -1 on (1, 3), so
+    # H = alpha3 p + g0 m is two copies of the ring's 2 x 2 block, at p and
+    # at -p.  Every entry is nonzero at m > 0, so equal values are equal bits
+    rng = np.random.default_rng(10)
+    alpha3 = GAMMA0 @ GAMMA3
+    momenta = rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-100, 100, 300)
+    masses = 10.0 ** rng.uniform(-100, 100, 300)
+    for p, m in [*zip(momenta, masses), (0.7, 1.3), (-2.0, 1e-9)]:
+        hamiltonian = alpha3 * p + GAMMA0 * m
+        for components, sign in (([0, 2], 1.0), ([1, 3], -1.0)):
+            block = hamiltonian[np.ix_(components, components)]
+            assert np.all(block.imag == 0.0)
+            assert np.array_equal(block.real, lattice._dirac_sector(np.array([[sign * p]]), m))
 
 
 def _levels(spec):

@@ -6,16 +6,13 @@ import pytest
 
 from spinorlab.dispersion import Structure
 from spinorlab.errors import DomainError
-from spinorlab import sections
 from spinorlab.gamma import GAMMA3
 from spinorlab.sections import (
-    HalfWindingPhase,
     SampledSection,
     commutation_residual,
     density_residual,
     dirac,
     grid_norm,
-    half_phase,
     intertwining_residual,
     kernel_mode,
     map_checks,
@@ -38,22 +35,13 @@ def _theta(w=1, L=TWO_PI, n=N):
     return build_theta(n, L, w)
 
 
-def test_half_phase_unimodular_and_squares_to_full_angle():
-    theta = _theta(w=3)
-    phase = half_phase(theta)
-    assert np.max(np.abs(np.abs(phase.values) - 1.0)) <= 1e-14
-    full = np.exp(1j * theta.samples)
-    assert np.max(np.abs(phase.values**2 - full)) <= 1e-12
-    assert phase.winding == 3
-
-
 def test_plane_wave_picks_up_half_integer_harmonic():
     # the image of harmonic n under the phase map is harmonic n + 1/2
     theta = _theta()
     x = theta.circumference * np.arange(N) / N
     spinor = np.array([1.0, 0.0, 2.0, 0.0], dtype=complex)
     section = plane_wave_section(N, theta.circumference, 2, spinor)
-    image = to_standard(section, half_phase(theta))
+    image = to_standard(section, theta)
     expected = np.exp(1j * 2.5 * x)[:, None] * spinor[None, :]
     assert np.max(np.abs(image.values - expected)) <= 1e-12
     assert image.structure is Structure.STANDARD
@@ -63,7 +51,7 @@ def test_plane_wave_picks_up_half_integer_harmonic():
 def test_even_winding_keeps_periodicity():
     theta = _theta(w=2)
     section = random_band_limited_section(N, TWO_PI, np.random.default_rng(0))
-    image = to_standard(section, half_phase(theta))
+    image = to_standard(section, theta)
     assert not image.antiperiodic
 
 
@@ -101,9 +89,8 @@ def test_random_section_is_band_limited(sites):
 def test_round_trip_restores_section():
     rng = np.random.default_rng(8)
     theta = _theta()
-    phase = half_phase(theta)
     section = random_band_limited_section(N, TWO_PI, rng)
-    back = to_exotic(to_standard(section, phase), phase)
+    back = to_exotic(to_standard(section, theta), theta)
     assert back.structure is Structure.EXOTIC
     assert back.antiperiodic == section.antiperiodic
     assert np.max(np.abs(back.values - section.values)) <= 1e-15
@@ -111,25 +98,15 @@ def test_round_trip_restores_section():
 
 def test_structure_and_grid_guards():
     theta = _theta()
-    phase = half_phase(theta)
     section = random_band_limited_section(N, TWO_PI, np.random.default_rng(1))
-    standard = to_standard(section, phase)
+    standard = to_standard(section, theta)
     with pytest.raises(DomainError):
-        to_standard(standard, phase)
+        to_standard(standard, theta)
     with pytest.raises(DomainError):
-        to_exotic(section, phase)
+        to_exotic(section, theta)
     other = random_band_limited_section(32, TWO_PI, np.random.default_rng(1))
     with pytest.raises(DomainError):
-        to_standard(other, phase)
-
-
-def test_phase_must_be_unimodular():
-    with pytest.raises(DomainError):
-        HalfWindingPhase(
-            values=np.array([1.0, 1.0, 2.0, 1.0], dtype=complex),
-            winding=0,
-            circumference=1.0,
-        )
+        to_standard(other, theta)
 
 
 def test_ring_derivative_periodic_exact():
@@ -157,10 +134,9 @@ def _multiplier(theta, scale=1.0):
 def test_intertwining_both_directions_vanish():
     rng = np.random.default_rng(12)
     theta = _theta()
-    phase = half_phase(theta)
     for _ in range(5):
         section = random_band_limited_section(N, TWO_PI, rng)
-        plus, minus = intertwining_residual(section, phase, _multiplier(theta), mass=0.7)
+        plus, minus = intertwining_residual(section, theta, _multiplier(theta), mass=0.7)
         assert plus <= 1e-10
         assert minus <= 1e-10
 
@@ -169,7 +145,7 @@ def test_intertwining_detects_wrong_multiplier_strength():
     rng = np.random.default_rng(12)
     theta = _theta()
     section = random_band_limited_section(N, TWO_PI, rng)
-    residuals = intertwining_residual(section, half_phase(theta), _multiplier(theta, 0.5), 0.7)
+    residuals = intertwining_residual(section, theta, _multiplier(theta, 0.5), 0.7)
     assert min(residuals) > 1e-2
 
 
@@ -177,27 +153,25 @@ def test_intertwining_with_energy():
     rng = np.random.default_rng(14)
     theta = _theta()
     section = random_band_limited_section(N, TWO_PI, rng)
-    residuals = intertwining_residual(
-        section, half_phase(theta), _multiplier(theta), 0.3, energy=0.9
-    )
+    residuals = intertwining_residual(section, theta, _multiplier(theta), 0.3, energy=0.9)
     assert max(residuals) <= 1e-10
 
 
 def _per_direction(section, theta, mass, direction, scale, energy):
-    """Reference: one identity at a time, each with its own phase and operators.
+    """Reference: one identity at a time, each with its own operators.
 
     D_plus at scale s is dirac with the multiplier -(s/2)*theta', D_minus
     at s is D_plus at -s.
     """
-    phase = half_phase(theta)
+    u = theta.half_phase[:, None]
     multiplier = _multiplier(theta, scale)
     if direction == "plus":
-        lhs = to_standard(dirac(section, mass, energy, multiplier), phase)
-        rhs = dirac(to_standard(section, phase), mass, energy)
+        lhs = dirac(section, mass, energy, multiplier) * u
+        rhs = dirac(to_standard(section, theta), mass, energy)
     else:
-        lhs = to_standard(dirac(section, mass, energy), phase)
-        rhs = dirac(to_standard(section, phase), mass, energy, -multiplier)
-    return grid_norm(lhs.values - rhs.values, section.circumference)
+        lhs = dirac(section, mass, energy) * u
+        rhs = dirac(to_standard(section, theta), mass, energy, -multiplier)
+    return grid_norm(lhs - rhs, section.circumference)
 
 
 @pytest.mark.parametrize("winding", [0, 1, -3, 2])
@@ -206,10 +180,9 @@ def test_one_pass_pair_is_the_per_direction_computation(winding, scale):
     rng = np.random.default_rng(100 + winding)
     for sites, length in ((64, TWO_PI), (40, 3.7)):
         theta = _theta(w=winding, L=length, n=sites)
-        phase = half_phase(theta)
         for energy in (0.0, 1.3):
             section = random_band_limited_section(sites, length, rng)
-            pair = intertwining_residual(section, phase, _multiplier(theta, scale), 0.6, energy)
+            pair = intertwining_residual(section, theta, _multiplier(theta, scale), 0.6, energy)
             reference = tuple(
                 _per_direction(section, theta, 0.6, direction, scale, energy)
                 for direction in ("plus", "minus")
@@ -234,7 +207,7 @@ def test_map_checks_takes_one_phase_and_two_derivatives_per_section_and_mode(mon
     theta = _theta(w=3)  # odd: the images take the antiperiodic derivative
     rng = np.random.default_rng(2)
     drawn = [random_band_limited_section(N, TWO_PI, rng) for _ in range(5)]
-    calls = {"half_phase": 0, "fft": 0}
+    calls = {"unwrap": 0, "fft": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -243,41 +216,41 @@ def test_map_checks_takes_one_phase_and_two_derivatives_per_section_and_mode(mon
 
         return wrapper
 
-    monkeypatch.setattr(sections, "half_phase", counted("half_phase", sections.half_phase))
+    # the half phase is formed once, from one unwrap of the angle field
+    monkeypatch.setattr(np, "unwrap", counted("unwrap", np.unwrap))
     # every ring derivative, periodic or on the doubled ring, is one forward FFT
     monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
     map_checks(drawn, theta, 0.8)
     # two per section, and one each for the kernel mode and its image
-    assert calls == {"half_phase": 1, "fft": 2 * len(drawn) + 2}
+    assert calls == {"unwrap": 1, "fft": 2 * len(drawn) + 2}
 
 
 def test_commutation_residual_exact_zero_on_unit_ring():
     theta = _theta()
     field = gradient_field(theta)
     section = random_band_limited_section(N, TWO_PI, np.random.default_rng(2))
-    assert commutation_residual(section, field, half_phase(theta)) == 0.0
+    assert commutation_residual(section, field, theta) == 0.0
 
 
 def test_commutation_residual_multiplier_is_minus_the_shift_coefficient_times_k3():
     # the field carries the shift coefficient c, so the multiplier is -c*k3
     # unhalved; halving it is exact, and would read exactly half of this
     theta = _theta(w=3)
-    phase = half_phase(theta)
     section = random_band_limited_section(N, TWO_PI, np.random.default_rng(5))
     field = gradient_field(theta, scale=0.5)
     multiplier = -field.scale * field.k[2]
-    u = phase.values[:, None]
+    u = theta.half_phase[:, None]
     lhs = multiplier * (section.values @ GAMMA3.T) * u
     rhs = multiplier * ((section.values * u) @ GAMMA3.T)
     expected = float(np.max(np.abs(lhs - rhs)))
     assert expected > 0.0
-    assert commutation_residual(section, field, phase) == expected
+    assert commutation_residual(section, field, theta) == expected
 
 
 def test_density_preserved_pointwise():
     theta = _theta(w=2)
     section = random_band_limited_section(N, TWO_PI, np.random.default_rng(4))
-    assert density_residual(section, half_phase(theta)) <= 1e-15
+    assert density_residual(section, theta) <= 1e-15
 
 
 def test_kernel_modes_are_annihilated():
@@ -286,7 +259,7 @@ def test_kernel_modes_are_annihilated():
         for harmonic in (-2, 0, 1):
             section, energy = kernel_mode(theta, mass=0.8, harmonic=harmonic, scale=scale)
             out = dirac(section, 0.8, energy, _multiplier(theta, scale))
-            assert grid_norm(out.values, TWO_PI) <= 1e-10
+            assert grid_norm(out, TWO_PI) <= 1e-10
 
 
 def test_kernel_mode_energy_is_shifted_on_shell():
@@ -298,14 +271,14 @@ def test_kernel_mode_energy_is_shifted_on_shell():
     assert free_energy == pytest.approx(math.sqrt(0.8**2 + 1.0), abs=1e-12)
     out = dirac(section, 0.8, energy)
     # the shifted-kernel mode is not annihilated by the standard operator
-    assert grid_norm(out.values, TWO_PI) > 1e-2
+    assert grid_norm(out, TWO_PI) > 1e-2
 
 
 def test_free_kernel_mode_annihilated_by_standard_operator():
     theta = _theta()
     section, energy = kernel_mode(theta, mass=0.5, harmonic=1, scale=0.0)
     out = dirac(section, 0.5, energy)
-    assert grid_norm(out.values, TWO_PI) <= 1e-10
+    assert grid_norm(out, TWO_PI) <= 1e-10
 
 
 def _kernel_pair(theta, mass, harmonic=1, scale=1.0):
@@ -432,10 +405,9 @@ def test_kernel_spinor_is_the_unit_first_projector_column():
 
 def test_flat_field_phase_is_identity():
     theta = _theta(w=0)
-    phase = half_phase(theta)
-    assert np.all(phase.values == 1.0)
+    assert np.all(theta.half_phase == 1.0)
     section = random_band_limited_section(N, TWO_PI, np.random.default_rng(9))
-    image = to_standard(section, phase)
+    image = to_standard(section, theta)
     assert np.array_equal(image.values, section.values)
     assert image.antiperiodic == section.antiperiodic
 
@@ -492,22 +464,6 @@ def test_grid_norm_matches_a_decimal_reference(magnitude, length):
         error = abs(Decimal(grid_norm(values, length)) - reference)
         assert error <= 4 * Decimal(math.ulp(float(reference)))
     assert grid_norm(np.zeros((8, 4)), 1.0) == 0.0
-
-
-def test_half_phase_checks_its_circumference_then_its_winding():
-    # a phase at L = nan used to pass every grid check (nan compares false),
-    # and one at winding 1.5 used to count as even in to_standard; each rule
-    # alone is pinned in test_errors
-    with pytest.raises(DomainError, match="^circumference must be positive and finite$"):
-        HalfWindingPhase(np.ones(8), winding=1.5, circumference=math.nan)
-    assert HalfWindingPhase(np.ones(8), winding=2.0, circumference=3.0).winding == 2
-
-
-def test_phase_samples_that_are_not_finite_are_not_unimodular():
-    values = np.ones(8, dtype=complex)
-    values[3] = math.nan
-    with pytest.raises(DomainError, match="^phase samples must be unimodular$"):
-        HalfWindingPhase(values, winding=0, circumference=1.0)
 
 
 def test_section_json_round_trip():

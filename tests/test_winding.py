@@ -117,3 +117,17 @@ def test_theta_field_winding_consistency():
         ThetaField(samples=samples, winding=2, circumference=1.0)
     field = ThetaField(samples=samples, winding=1, circumference=1.0)
     assert field.sites == 8
+    # finite samples whose increments overflow wind nan circuits, not zero
+    with pytest.raises(DomainError, match="^samples wind nan circuits, expected 0$"):
+        ThetaField(samples=[1e308, -1e308, 1e308, -1e308], winding=0, circumference=1.0)
+
+
+def test_half_phase_unimodular_and_squares_to_full_angle():
+    theta = build_theta(64, TWO_PI, 3)
+    phase = theta.half_phase
+    assert np.max(np.abs(np.abs(phase) - 1.0)) <= 1e-14
+    full = np.exp(1j * theta.samples)
+    assert np.max(np.abs(phase**2 - full)) <= 1e-12
+    # formed once per field, on first use, and shared read-only
+    assert theta.half_phase is phase
+    assert not phase.flags.writeable
