@@ -117,8 +117,12 @@ RULES = [
             "RingSpec": lambda v: RingSpec(8, v, 0.0),
             "SampledSection": lambda v: SampledSection(np.ones((8, 4)), Structure.EXOTIC, v),
             "ThetaField": lambda v: ThetaField(np.zeros(8), 0, v),
+            "build_theta": lambda v: build_theta(8, v, 1),
             "ring-spectrum --length": lambda v: _cli(
                 "ring-spectrum", "--sites", "8", f"--length={v!r}"
+            ),
+            "map-check --length": lambda v: _cli(
+                "map-check", "--sites", "16", "--sections", "1", f"--length={v!r}"
             ),
         },
         NOT_POSITIVE,
