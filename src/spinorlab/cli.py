@@ -43,7 +43,7 @@ from .dispersion import (
     preferred_branch,
     signed_shift,
 )
-from .errors import DomainError, check_finite, check_non_negative
+from .errors import DomainError, as_bool, check_finite, check_non_negative
 from .lattice import STRUCTURE_TWIST, RingSpec, ring_modes
 from .magma import BUILTIN_NAMES, FiniteMagma, analyze, builtin, compose, from_json
 from .sections import map_checks, random_band_limited_section, section_from_json
@@ -468,12 +468,10 @@ def _run_algebra_chain(options: dict) -> Report:
     for item in raw:
         if not isinstance(item, dict) or "operand" not in item:
             raise DomainError("each event needs an 'operand' key")
-        events.append(
-            ChainEvent(
-                operand=str(item["operand"]),
-                involute_first=bool(item.get("involute", False)),
-            )
-        )
+        if not isinstance(item["operand"], str):
+            raise DomainError("event operand must be a string")
+        involute_first = as_bool("involute", item.get("involute", False))
+        events.append(ChainEvent(item["operand"], involute_first))
     final, trace = run_chain(options["initial"], events, table)
     parameters = {
         "p": options["p"],

@@ -60,3 +60,10 @@ def as_winding(winding) -> int:
     if whole != winding:
         raise DomainError("winding must be an integer")
     return whole
+
+
+def as_bool(what: str, value) -> bool:
+    """value, a JSON boolean; any other value (a string, a number, null) is refused."""
+    if not isinstance(value, bool):
+        raise DomainError(f"{what} must be true or false")
+    return value

@@ -74,12 +74,17 @@ class FiniteMagma:
         n = len(self.carrier)
         if n == 0:
             raise DomainError("carrier must be non-empty")
+        if not all(isinstance(label, str) for label in self.carrier):
+            raise DomainError("carrier labels must be strings")
         if len(set(self.carrier)) != n:
             raise DomainError("carrier labels must be distinct")
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise DomainError("table must be square over the carrier")
         for row in self.table:
             for entry in row:
+                # an int, not a bool or a float that would truncate to one
+                if type(entry) is not int:
+                    raise DomainError("table entries must be integers")
                 if not (0 <= entry < n):
                     raise DomainError("table entries must index the carrier")
 
@@ -192,16 +197,19 @@ def to_json(magma: FiniteMagma) -> str:
 
 
 def from_json(text: str, name: str = "custom") -> FiniteMagma:
-    """Load a magma from {"carrier": [...], "table": [[...]]} JSON."""
+    """Load a magma from {"carrier": [...], "table": [[...]]} JSON, taking values as typed."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"invalid magma JSON: {exc}") from None
     if not isinstance(payload, dict) or "carrier" not in payload or "table" not in payload:
         raise DomainError("magma JSON needs 'carrier' and 'table' keys")
-    carrier = tuple(str(label) for label in payload["carrier"])
-    try:
-        table = tuple(tuple(int(entry) for entry in row) for row in payload["table"])
-    except (TypeError, ValueError):
-        raise DomainError("magma table must be a matrix of carrier indices") from None
-    return FiniteMagma(str(payload.get("name", name)), carrier, table)
+    name = payload.get("name", name)
+    if not isinstance(name, str):
+        raise DomainError("magma name must be a string")
+    carrier, rows = payload["carrier"], payload["table"]
+    if not isinstance(carrier, list):
+        raise DomainError("magma carrier must be a list of labels")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise DomainError("magma table must be a matrix of carrier indices")
+    return FiniteMagma(name, tuple(carrier), tuple(map(tuple, rows)))

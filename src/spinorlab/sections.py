@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import Structure
-from .errors import DomainError, check_circumference, check_finite, check_mass, check_tol
+from .errors import DomainError, as_bool, check_circumference, check_finite, check_mass, check_tol
 from .gamma import GAMMA0, GAMMA3
 from .winding import (
     ThetaField,
@@ -306,6 +306,7 @@ def plane_wave_section(
     spinor: np.ndarray,
 ) -> SampledSection:
     """Exotic section: harmonic exp(2*pi*i*n*x/L) times a constant spinor."""
+    check_circumference(circumference)
     spinor = np.asarray(spinor, dtype=complex)
     if spinor.shape != (4,):
         raise DomainError("spinor must have 4 components")
@@ -433,11 +434,14 @@ def section_from_json(text: str) -> SampledSection:
         values = np.array(
             [[complex(re, im) for re, im in row] for row in payload["values"]]
         )
+        circumference = payload["circumference"]
+        if isinstance(circumference, bool) or not isinstance(circumference, (int, float)):
+            raise DomainError("circumference must be a number")
         return SampledSection(
             values=values,
             structure=Structure(payload["structure"]),
-            circumference=float(payload["circumference"]),
-            antiperiodic=bool(payload.get("antiperiodic", False)),
+            circumference=float(circumference),
+            antiperiodic=as_bool("antiperiodic", payload.get("antiperiodic", False)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed section JSON: {exc}") from None

@@ -733,6 +733,88 @@ def test_cli_output_contract(argv, output):
         json.loads(out.getvalue(), parse_constant=_refuse_constant)
 
 
+# the file inputs' contract: a valid table or events file, with half of the
+# draws swapping one value, row, list or the whole document for a JSON edge
+# token written as raw text, so 1e400 (read as inf) and NaN reach the readers
+# as written; they are half of the swaps
+_JSON_EDGE = st.sampled_from(("1e400", "NaN")) | st.sampled_from(
+    ("-0.0", "0.5", "true", "false", "null", "-1", "7", '"1"', "[]", "[[0]]", "{}")
+)
+
+
+def _json_paths(node, path=()):
+    """The path of every value in a document whose leaves are raw JSON tokens."""
+    yield path
+    if not isinstance(node, str):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _json_paths(child, (*path, key))
+
+
+def _json_text(node, swap, path=()):
+    """The document as JSON text, with the value at swap's path replaced by its token."""
+    if path == swap[0]:
+        return swap[1]
+    if isinstance(node, str):
+        return node
+    if isinstance(node, dict):
+        items = (f'"{k}": {_json_text(v, swap, (*path, k))}' for k, v in node.items())
+        return "{" + ", ".join(items) + "}"
+    return "[" + ", ".join(_json_text(v, swap, (*path, i)) for i, v in enumerate(node)) + "]"
+
+
+@st.composite
+def _file_input(draw):
+    """(argv head, file text, argv tail) for a command that reads a JSON file."""
+    command = draw(st.sampled_from(["analyze", "compose", "chain"]))
+    if command == "chain":
+        operand = st.sampled_from(['"(b,a)"', '"(a,b)"', '"(ab,.)"', '"S"'])
+        event = st.fixed_dictionaries(
+            {"operand": operand}, optional={"involute": st.sampled_from(["true", "false"])}
+        )
+        document = draw(st.lists(event, max_size=4))
+        initial = draw(st.sampled_from(["(a,b)", "S"]))
+        k = draw(st.sampled_from(["0,0,0.01", "0,0,-0.01", "0,0,0"]))
+        head, tail = ["--events"], ["--initial", initial, "--p", "0,0,0.5", "--k", k]
+    else:
+        n = draw(st.integers(1, 3))
+        row = st.lists(st.sampled_from([str(i) for i in range(n)]), min_size=n, max_size=n)
+        document = {
+            "carrier": ['"e"', '"g"', '"(a,b)"'][:n],
+            "table": draw(st.lists(row, min_size=n, max_size=n)),
+        }
+        if draw(st.booleans()):
+            document["name"] = '"drawn"'
+        head, tail = ["--table-file"], []
+        if command == "compose":
+            tail = draw(st.lists(st.sampled_from(["e", "g", "(a,b)"]), min_size=2, max_size=2))
+    swap = (None, None)
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(list(_json_paths(document))))
+        swap = (path, draw(_JSON_EDGE))
+    return ["algebra", command, *head], _json_text(document, swap), tail
+
+
+@settings(max_examples=120, deadline=None)
+@given(command=_file_input(), output=st.sampled_from(["csv", "json"]))
+def test_file_input_output_contract(tmp_path_factory, command, output):
+    head, text, tail = command
+    path = tmp_path_factory.getbasetemp() / "contract-input.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*head, str(path), *tail, f"--format={output}"])
+    assert code in (0, 2, 3)
+    if code == 3:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    # the echoed input path is not a value the program computed
+    assert not _NOT_FINITE.search(out.getvalue().replace(str(path), ""))
+    if output == "json" and out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
+
+
 def test_algebra_analyze_builtin(capsys):
     code, out, _ = run(capsys, "algebra", "analyze", "--table", "prefer_standard")
     assert code == 0
@@ -844,6 +926,37 @@ def test_algebra_chain_with_involution(capsys, tmp_path):
     assert document["initial_table"] == "prefer_standard"
     assert document["final"] == "(a,b)"
     assert document["trace"] == [{"step": 1, "table": "prefer_exotic", "state": "(a,b)"}]
+
+
+@pytest.mark.parametrize(
+    "event, message",
+    [
+        # bool("false") is True: it flipped to prefer_exotic and ended at (·,ab)
+        ({"operand": "(b,a)", "involute": "false"}, "involute must be true or false"),
+        ({"operand": "(b,a)", "involute": 1}, "involute must be true or false"),
+        ({"operand": "(b,a)", "involute": None}, "involute must be true or false"),
+        ({"operand": 1}, "event operand must be a string"),
+        ({"operand": None}, "event operand must be a string"),
+    ],
+)
+def test_algebra_chain_takes_events_as_typed(capsys, tmp_path, event, message):
+    events = tmp_path / "events.json"
+    argv = ["algebra", "chain", "--initial", "(a,b)", "--events", str(events), "--p", "0,0,0.5"]
+    events.write_text(json.dumps([event]))
+    code, out, err = run(capsys, *argv, "--k", "0,0,0.01")
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+    events.write_text(json.dumps([{"operand": "(b,a)", "involute": False}]))
+    code, out, _ = run(capsys, *argv, "--k", "0,0,0.01")
+    assert (code, json.loads(out)["final"]) == (0, "(b,a)")
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["compose", "e", "g"]])
+def test_algebra_table_file_refuses_a_float_entry(capsys, tmp_path, command):
+    # int(1e400) raised an uncaught OverflowError: a traceback and exit 1
+    path = tmp_path / "table.json"
+    path.write_text('{"carrier": ["e", "g"], "table": [[0, 1e400], [1, 0]]}')
+    code, out, err = run(capsys, "algebra", command[0], "--table-file", str(path), *command[1:])
+    assert (code, out, err) == (3, "", "error: table entries must be integers\n")
 
 
 def test_algebra_chain_z2_rejects_preference_operand(capsys, tmp_path):

@@ -31,6 +31,7 @@ from spinorlab.sections import (
     dirac,
     kernel_mode,
     map_checks,
+    plane_wave_section,
     random_band_limited_section,
 )
 from spinorlab.winding import ThetaField, WindingGradient, build_theta
@@ -118,6 +119,7 @@ RULES = [
             "SampledSection": lambda v: SampledSection(np.ones((8, 4)), Structure.EXOTIC, v),
             "ThetaField": lambda v: ThetaField(np.zeros(8), 0, v),
             "build_theta": lambda v: build_theta(8, v, 1),
+            "plane_wave_section": lambda v: plane_wave_section(8, v, 1, [1.0, 0.0, 0.0, 0.0]),
             "ring-spectrum --length": lambda v: _cli(
                 "ring-spectrum", "--sites", "8", f"--length={v!r}"
             ),

@@ -97,19 +97,26 @@ def _brute_force(magma):
         for a, b, c in itertools.product(labels, repeat=3)
         if op[op[a, b], c] != op[a, op[b, c]]
     ]
-    return identities, absorbers, commut, assoc
+    # a group: exactly one identity, associative, and a two-sided inverse for every element
+    is_group = (
+        len(identities) == 1
+        and not assoc
+        and all(any(op[a, b] == op[b, a] == identities[0] for b in labels) for a in labels)
+    )
+    return identities, absorbers, commut, assoc, is_group
 
 
 @pytest.mark.parametrize("name", ["z2", "prefer_standard", "prefer_exotic"])
 def test_analyze_matches_brute_force(name):
     magma = builtin(name)
     report = analyze(magma)
-    identities, absorbers, commut, assoc = _brute_force(magma)
+    identities, absorbers, commut, assoc, is_group = _brute_force(magma)
     assert list(report.identities) == identities
     assert list(report.absorbers) == absorbers
     assert list(report.commutativity_violations) == commut
     assert report.associativity_violations == len(assoc)
     assert report.associativity_witness == (assoc[0] if assoc else None)
+    assert report.is_group == is_group
 
 
 @st.composite
@@ -130,12 +137,13 @@ def magmas(draw):
 @given(magmas())
 def test_analyze_matches_brute_force_on_random_tables(magma):
     report = analyze(magma)
-    identities, absorbers, commut, assoc = _brute_force(magma)
+    identities, absorbers, commut, assoc, is_group = _brute_force(magma)
     assert list(report.identities) == identities
     assert list(report.absorbers) == absorbers
     assert list(report.commutativity_violations) == commut
     assert report.associativity_violations == len(assoc)
     assert report.associativity_witness == (assoc[0] if assoc else None)
+    assert report.is_group == is_group
 
 
 def test_z2_report():
@@ -209,6 +217,49 @@ def test_from_json_rejects_malformed():
         from_json('{"carrier": ["a"], "table": [["x"]]}')
     with pytest.raises(DomainError):
         from_json('{"carrier": ["a", "a"], "table": [[0, 0], [0, 0]]}')
+
+
+ENTRIES = "table entries must be integers"
+MATRIX = "magma table must be a matrix of carrier indices"
+
+
+@pytest.mark.parametrize(
+    "carrier, rows, message",
+    [
+        (("e", "g"), ((0, 1.0), (1, 0)), ENTRIES),
+        (("e", "g"), ((0, True), (1, 0)), ENTRIES),
+        (("e", "g"), ((0, "1"), (1, 0)), ENTRIES),
+        (("e", "g"), ((0, [1]), (1, 0)), ENTRIES),
+        (("e", None), ((0, 1), (1, 0)), "carrier labels must be strings"),
+        (("e", 1), ((0, 1), (1, 0)), "carrier labels must be strings"),
+    ],
+)
+def test_finite_magma_takes_entries_and_labels_as_typed(carrier, rows, message):
+    with pytest.raises(DomainError) as caught:
+        FiniteMagma("typed", carrier, rows)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # 1e400 parses as inf, which int() refused with an OverflowError
+        ('{"carrier": ["e", "g"], "table": [[0, 1e400], [1, 0]]}', ENTRIES),
+        # int() truncated these to [[0, 1], [1, 0]], a group
+        ('{"carrier": ["e", "g"], "table": [[0.9, 1.7], [true, 0]]}', ENTRIES),
+        ('{"carrier": ["e", "g"], "table": [[0, "1"], [1, 0]]}', ENTRIES),
+        # str() made these the labels "1" and "None"
+        ('{"carrier": [1, null], "table": [[0, 1], [1, 0]]}', "carrier labels must be strings"),
+        ('{"carrier": "eg", "table": [[0, 1], [1, 0]]}', "magma carrier must be a list of labels"),
+        ('{"carrier": ["e", "g"], "table": [0, 1]}', MATRIX),
+        ('{"carrier": ["e", "g"], "table": "01"}', MATRIX),
+        ('{"name": 1e400, "carrier": ["e"], "table": [[0]]}', "magma name must be a string"),
+    ],
+)
+def test_from_json_takes_values_as_typed(text, message):
+    with pytest.raises(DomainError) as caught:
+        from_json(text)
+    assert str(caught.value) == message
 
 
 def test_table_validation():

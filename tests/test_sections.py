@@ -1,3 +1,4 @@
+import json
 import math
 from decimal import Decimal, localcontext
 
@@ -480,6 +481,28 @@ def test_section_json_rejects_garbage():
         section_from_json("[1, 2")
     with pytest.raises(DomainError):
         section_from_json('{"structure": "exotic"}')
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        # bool("false") is True
+        ("antiperiodic", "false", "antiperiodic must be true or false"),
+        ("antiperiodic", 0, "antiperiodic must be true or false"),
+        ("antiperiodic", None, "antiperiodic must be true or false"),
+        # float(True) is 1.0
+        ("circumference", True, "circumference must be a number"),
+        ("circumference", "5.0", "circumference must be a number"),
+        ("circumference", 10**400, "int too large to convert to float"),
+    ],
+)
+def test_section_json_takes_values_as_typed(key, value, message):
+    section = random_band_limited_section(16, 5.0, np.random.default_rng(6))
+    payload = json.loads(section_to_json(section))
+    payload[key] = value
+    with pytest.raises(DomainError) as caught:
+        section_from_json(json.dumps(payload))
+    assert str(caught.value) == f"malformed section JSON: {message}"
 
 
 def test_exotic_dirac_guards():
