@@ -425,6 +425,13 @@ def section_to_json(section: SampledSection) -> str:
     return json.dumps(payload)
 
 
+def _json_number(what: str, value):
+    """value, a JSON number; a bool (float(True) is 1.0), a string or null is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"{what} must be a number")
+    return value
+
+
 def section_from_json(text: str) -> SampledSection:
     try:
         payload = json.loads(text)
@@ -432,15 +439,16 @@ def section_from_json(text: str) -> SampledSection:
         raise DomainError(f"invalid section JSON: {exc}") from None
     try:
         values = np.array(
-            [[complex(re, im) for re, im in row] for row in payload["values"]]
+            [
+                [complex(_json_number("section value", re), _json_number("section value", im))
+                 for re, im in row]
+                for row in payload["values"]
+            ]
         )
-        circumference = payload["circumference"]
-        if isinstance(circumference, bool) or not isinstance(circumference, (int, float)):
-            raise DomainError("circumference must be a number")
         return SampledSection(
             values=values,
             structure=Structure(payload["structure"]),
-            circumference=float(circumference),
+            circumference=float(_json_number("circumference", payload["circumference"])),
             antiperiodic=as_bool("antiperiodic", payload.get("antiperiodic", False)),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -16,7 +16,7 @@ Comparison rules:
   check names, verdicts and failure count.  Their details print FFT and
   eigensolver residuals, which move by rounding;
 * `map-check`: the same exit code, stderr, parameters, keys and `passed`,
-  and each residual on the same side of its bound (MAP_CHECK_BOUNDS).
+  and each residual on the same side of its bound (`sections._BOUNDS`).
   The residuals are FFT rounding, so only their verdicts are pinned;
 * `ring-spectrum`: the same exit code, stderr, parameters, n,
   multiplicity and row order, and each e_n and energy within RING_RTOL *
@@ -44,22 +44,13 @@ from unittest import mock
 import pytest
 
 from spinorlab.cli import main
+from spinorlab.sections import _BOUNDS
 
 GOLDEN = Path(__file__).resolve().parent
 MANIFEST = GOLDEN / "manifest.json"
 EXPECTED = GOLDEN / "expected"
 OUT = "{out}"
 VERDICT_ONLY_SUITES = ("sections", "lattice", "all")
-# map-check's bound on each residual, as a multiple of its tol or absolute
-MAP_CHECK_BOUNDS = {
-    "intertwine_plus": ("tol", 1.0),
-    "intertwine_minus": ("tol", 1.0),
-    "commutation": ("abs", 1e-15),
-    "density": ("abs", 1e-15),
-    "roundtrip": ("abs", 1e-15),
-    "kernel_residual": ("tol", 1.0),
-    "mapped_kernel_residual": ("tol", 1.0 + 1e-6),
-}
 # ring-spectrum's e_n and energy may move by this much of the top level
 RING_RTOL = 2e-14
 RING_VALUES = ("e_n", "energy")
@@ -85,8 +76,8 @@ def _option(argv: list[str], flag: str, default: str) -> str:
 
 
 def _within(key: str, value: float, tol: float) -> bool:
-    kind, bound = MAP_CHECK_BOUNDS[key]
-    return value <= (tol * bound if kind == "tol" else bound)
+    multiple, fixed = _BOUNDS[key]
+    return value <= multiple * tol + fixed
 
 
 def _map_check_verdicts(argv: list[str], output: str):

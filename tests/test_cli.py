@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from spinorlab import cli, lattice
 from spinorlab.cli import main
+from spinorlab.magma import BUILTIN_NAMES
 from spinorlab.dispersion import Structure, branch_energies
 from spinorlab.sections import (
     SampledSection,
@@ -24,6 +25,7 @@ from spinorlab.sections import (
     random_band_limited_section,
     section_to_json,
 )
+from spinorlab.verification import SUITES
 from spinorlab.winding import build_theta
 
 TWO_PI = 2.0 * math.pi
@@ -622,6 +624,33 @@ _EDGE_FLOATS = (
 _NOT_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 
+def _contract(argv, codes, echoed="", out_file=None):
+    """main(argv) under the output contract; returns its exit code and stdout.
+
+    main does not raise, warnings are errors, the exit code is one of
+    codes, and exit 3 prints nothing and writes one error line.  The
+    output, stdout then out_file if the run wrote it, holds no nan or inf
+    token once echoed (an input path, not a computed value) is removed,
+    and as JSON it parses without NaN or Infinity.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in codes
+    if code == 3:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    output = out.getvalue()
+    if out_file is not None and out_file.is_file():
+        output += out_file.read_text()
+    assert not _NOT_FINITE.search(output.replace(echoed, ""))
+    if "--format=json" in argv and output:
+        json.loads(output, parse_constant=_refuse_constant)
+    return code, out.getvalue()
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     sites=st.integers(1, 64),
@@ -634,16 +663,7 @@ _NOT_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 def test_map_check_output_contract(sites, sections, output, flags):
     argv = ["map-check", f"--sites={sites}", f"--sections={sections}", f"--format={output}"]
     argv += [f"{flag}={value}" for flag, value in flags.items()]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 3)
-    if code == 3:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-    elif output == "json":
-        json.loads(out.getvalue(), parse_constant=_refuse_constant)
-    assert not _NOT_FINITE.search(out.getvalue())
+    _contract(argv, (0, 1, 3))
 
 
 # the other commands' contract draws from the whole edge pool: ordinary,
@@ -718,19 +738,7 @@ def _contract_argv(command, required, optional):
 )
 def test_cli_output_contract(argv, output):
     # none of these commands checks an identity, so none may exit 1
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*argv, f"--format={output}"])
-    assert code in (0, 2, 3)
-    if code == 3:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-    # the echoed events path is not a value the program computed
-    assert not _NOT_FINITE.search(out.getvalue().replace(str(_INPUTS), ""))
-    if output == "json" and out.getvalue():
-        json.loads(out.getvalue(), parse_constant=_refuse_constant)
+    _contract([*argv, f"--format={output}"], (0, 2, 3), echoed=str(_INPUTS))
 
 
 # the file inputs' contract: a valid table or events file, with half of the
@@ -800,19 +808,80 @@ def test_file_input_output_contract(tmp_path_factory, command, output):
     head, text, tail = command
     path = tmp_path_factory.getbasetemp() / "contract-input.json"
     path.write_text(text)
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*head, str(path), *tail, f"--format={output}"])
-    assert code in (0, 2, 3)
-    if code == 3:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-    # the echoed input path is not a value the program computed
-    assert not _NOT_FINITE.search(out.getvalue().replace(str(path), ""))
-    if output == "json" and out.getvalue():
-        json.loads(out.getvalue(), parse_constant=_refuse_constant)
+    _contract([*head, str(path), *tail, f"--format={output}"], (0, 2, 3), echoed=str(path))
+
+
+# the rest of the CLI: verify's suites, the builtin tables on labels from a
+# pool (ASCII-dot aliases, unknown and empty ones), and edge contents of a
+# --config file and a --section-file, each printed to stdout, to an --out
+# file, or to an --out directory (exit 3)
+_LABEL = st.sampled_from(["S", "C", "(a,b)", "(b,a)", "(ab,.)", "(.,ab)", "(ab,·)", "ab", "x", ""])
+_CONFIG_LINE = st.sampled_from(
+    (
+        "scale = 1", "tol = 1e-9", "scale = 1_0", "tol = 1_0e-9", "# note", "", "scale = nan",
+        "tol = inf", "scale = -Infinity", "scale = 1e400", "scale = 0x10", "mass = 2",
+        "scale 1", "= 1", "tol =",
+    )
+)
+# (argv, exit codes) of the commands that read a config file
+_CONFIG_READERS = (
+    (["preference", "--p=0,0,0.5", "--k=0,0,0.01"], (0, 3)),
+    (["map-check", "--sites=16", "--sections=1"], (0, 1, 3)),
+)
+_SECTION = json.loads((_INPUTS / "section-16.json").read_text())
+# the golden 16-site section with raw JSON tokens as leaves, for _json_text
+_SECTION_TOKENS = {key: json.dumps(value) for key, value in _SECTION.items()} | {
+    "values": [[[json.dumps(part) for part in pair] for pair in row] for row in _SECTION["values"]]
+}
+_SECTION_PATHS = list(_json_paths(_SECTION_TOKENS))
+_SECTION_EDGE = st.sampled_from(
+    ("true", "null", '"1"', "1e400", "NaN", "-0.0", "0.5", "[]", "[0, 0, 0]", "[[0, 0]]")
+)
+
+
+@st.composite
+def _rest_of_cli(draw):
+    """(argv, exit codes, input file text or None); "{in}" in argv is that file."""
+    kind = draw(st.sampled_from(["verify", "analyze", "compose", "config", "section"]))
+    table = f"--table={draw(st.sampled_from(BUILTIN_NAMES))}"
+    if kind == "verify":
+        return ["verify", f"--suite={draw(st.sampled_from(['all', *SUITES]))}"], (0,), None
+    if kind == "analyze":
+        return ["algebra", "analyze", table], (0,), None
+    if kind == "compose":
+        return ["algebra", "compose", table, draw(_LABEL), draw(_LABEL)], (0, 3), None
+    if kind == "config":
+        command, codes = draw(st.sampled_from(_CONFIG_READERS))
+        text = "".join(f"{line}\n" for line in draw(st.lists(_CONFIG_LINE, max_size=3)))
+        return [*command, "--config", "{in}"], codes, text
+    swap = (None, None)
+    if draw(st.booleans()):
+        swap = (draw(st.sampled_from(_SECTION_PATHS)), draw(_SECTION_EDGE))
+    argv = ["map-check", "--sites=16", "--sections=0", "--section-file", "{in}"]
+    return argv, (0, 1, 3), _json_text(_SECTION_TOKENS, swap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=_rest_of_cli(),
+    output=st.sampled_from(["csv", "json"]),
+    destination=st.sampled_from(["stdout", "file", "directory"]),
+)
+def test_rest_of_cli_output_contract(tmp_path_factory, command, output, destination):
+    argv, codes, text = command
+    base = tmp_path_factory.getbasetemp()
+    path, report = base / "contract-input", base / "contract-report"
+    if text is not None:
+        path.write_text(text)
+    report.unlink(missing_ok=True)
+    argv = [str(path) if arg == "{in}" else arg for arg in argv] + [f"--format={output}"]
+    if destination == "file":
+        argv += ["--out", str(report)]
+    elif destination == "directory":
+        argv, codes = [*argv, "--out", str(base)], (3,)
+    _, printed = _contract(argv, codes, echoed=str(path), out_file=report)
+    if destination != "stdout":
+        assert printed == ""
 
 
 def test_algebra_analyze_builtin(capsys):
@@ -1110,6 +1179,28 @@ def test_config_file_supplies_scale(capsys, tmp_path):
         "--scale", "1.0",
     )
     assert json.loads(out)["parameters"]["scale"] == 1.0
+
+
+@pytest.mark.parametrize("value", ["1_0", "0.5", "2.5E-1", "+3", "nan", "-Infinity"])
+def test_config_and_flag_read_a_number_alike(capsys, tmp_path, value):
+    # both go through float(), so "1_0" is 10 either way (README, config files)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"scale = {value}\n")
+    from_config = run(capsys, *DISPERSION_ARGS, "--format", "json", "--config", str(config))
+    from_flag = run(capsys, *DISPERSION_ARGS, "--format", "json", f"--scale={value}")
+    assert from_config == from_flag
+    code, out, err = from_flag
+    if math.isfinite(float(value)):
+        assert (code, json.loads(out)["parameters"]["scale"]) == (0, float(value))
+    else:
+        assert (code, out, err) == (3, "", "error: scale must be finite\n")
+
+
+def test_config_refuses_a_number_that_float_does_not_read(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("scale = 0x10\n")
+    code, out, err = run(capsys, *DISPERSION_ARGS, "--config", str(config))
+    assert (code, out, err) == (3, "", "error: config line 1: bad number '0x10'\n")
 
 
 def test_config_file_rejects_unknown_key(capsys, tmp_path):

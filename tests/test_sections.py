@@ -494,6 +494,10 @@ def test_section_json_rejects_garbage():
         ("circumference", True, "circumference must be a number"),
         ("circumference", "5.0", "circumference must be a number"),
         ("circumference", 10**400, "int too large to convert to float"),
+        # complex(True, 0) is 1+0j
+        ("values", [[[True, 0]] * 4] * 16, "section value must be a number"),
+        ("values", [[[0.5, None]] * 4] * 16, "section value must be a number"),
+        ("values", [[["1", 0]] * 4] * 16, "section value must be a number"),
     ],
 )
 def test_section_json_takes_values_as_typed(key, value, message):
