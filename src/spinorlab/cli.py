@@ -12,7 +12,7 @@ a --config file take the flag: dispersion, sweep, preference, map-check
 and algebra chain.
 Identical invocations produce byte-identical output; with --timing, the
 parse, compute, render and write stages are timed and written to stderr
-only, one JSON line each.
+only, one JSON line each (on exit 3, the stages closed before the refusal).
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 usage error, 3 domain error (bad input to the mathematics or an
@@ -49,6 +49,12 @@ from .magma import BUILTIN_NAMES, FiniteMagma, analyze, builtin, compose, from_j
 from .sections import map_checks, random_band_limited_section, section_from_json
 from .verification import SUITES, run_suite
 from .winding import TWO_PI, WindingGradient, build_theta
+
+# the rows one sweep may ask for.  At the cap, with one BLAS thread on a
+# 2-core VM, a process takes 3.0 s and 648 MB peak as CSV and 6.6 s and
+# 1103 MB as JSON (bench/process.py --sizes 1000000), three quarters of
+# the time in render; both grow linearly with the rows.
+MAX_SWEEP_ROWS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -309,6 +315,8 @@ def _run_sweep(options: dict) -> Report:
     start, stop = options["p3_min"], options["p3_max"]
     count = options["count"]
     check_non_negative("--count", count)
+    if count > MAX_SWEEP_ROWS:
+        raise DomainError(f"--count {count} is over the limit {MAX_SWEEP_ROWS}")
     check_finite("momentum", p_transverse, start, stop)
     if not math.isfinite(stop - start):
         raise DomainError("--p3-max - --p3-min overflows float64")
@@ -492,11 +500,12 @@ def _run_algebra_chain(options: dict) -> Report:
 
 def _run_verify(options: dict) -> Report:
     suite = options["suite"]
-    checks = run_suite(suite)
-    passed = [bool(check.passed) for check in checks]
+    names, values, bounds = map(list, zip(*run_suite(suite)))
+    margins = [bound - value for value, bound in zip(values, bounds)]
+    passed = [value <= bound for value, bound in zip(values, bounds)]
     failed = passed.count(False)
-    columns = [[check.name for check in checks], passed, [check.detail for check in checks]]
-    fields = {"checks": Table(("name", "passed", "detail"), columns), "failed": failed}
+    header = ("name", "value", "bound", "margin", "passed")
+    fields = {"checks": Table(header, [names, values, bounds, margins, passed]), "failed": failed}
     return Report("verify", {"suite": suite}, fields, exit_code=0 if failed == 0 else 1)
 
 
@@ -642,10 +651,13 @@ def main(argv: list[str] | None = None) -> int:
         emit(report, fmt, destination, stages.mark)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code = 3
+    else:
+        code = report.exit_code
+    # also on exit 3: the spans closed before the refusal
     if timing:
         sys.stderr.write(stages.lines())
-    return report.exit_code
+    return code
 
 
 def console_main() -> None:

@@ -12,9 +12,9 @@ Comparison rules:
 * exact bytes of output and stderr, and the exit code, for every case but
   the next three;
 * `verify --suite sections|lattice|all`: the same exit code and stderr,
-  and the same output once each check's detail is dropped, i.e. the same
-  check names, verdicts and failure count.  Their details print FFT and
-  eigensolver residuals, which move by rounding;
+  and the same output once each check's value and margin are dropped,
+  i.e. the same check names, bounds, verdicts and failure count.  Their
+  values are FFT and eigensolver residuals, which move by rounding;
 * `map-check`: the same exit code, stderr, parameters, keys and `passed`,
   and each residual on the same side of its bound (`sections._BOUNDS`).
   The residuals are FFT rounding, so only their verdicts are pinned;
@@ -103,16 +103,17 @@ def _map_check_verdicts(argv: list[str], output: str):
 
 
 def _comparable(argv: list[str], output: str):
-    """The output as compared: all of it, verify's without the details, or map-check's verdicts."""
+    """The output as compared: all of it, or for verify and map-check what rounding cannot move."""
     if argv[:1] == ["map-check"] and output:
         return _map_check_verdicts(argv, output)
     if argv[:1] != ["verify"] or _option(argv, "--suite", "all") not in VERDICT_ONLY_SUITES:
         return output
     if _option(argv, "--format", "json") == "csv":
-        return [row[:2] for row in csv.reader(output.splitlines())]
+        # the table's columns are name, value, bound, margin, passed
+        return [row[:1] + row[2:3] + row[4:] for row in csv.reader(output.splitlines())]
     document = json.loads(output)
     for check in document["checks"]:
-        del check["detail"]
+        del check["value"], check["margin"]
     return document
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from spinorlab.sections import (
     random_band_limited_section,
     section_to_json,
 )
-from spinorlab.verification import SUITES
+from spinorlab.verification import SUITES, run_suite
 from spinorlab.winding import build_theta
 
 TWO_PI = 2.0 * math.pi
@@ -81,14 +82,27 @@ def test_out_writes_file_and_keeps_stdout_quiet(capsys, tmp_path):
     assert "exotic_plus,1.2475" in target.read_text()
 
 
+MAP_CHECK_ARGS = ("map-check", "--sites", "16", "--sections", "1")
+ALL_STAGES = ["parse", "compute", "render", "write"]
+
+
 def test_timing_goes_to_stderr_only(capsys):
-    for fmt in ("csv", "json"):
-        _, plain, plain_err = run(capsys, *DISPERSION_ARGS, "--format", fmt)
-        code, out, err = run(capsys, *DISPERSION_ARGS, "--format", fmt, "--timing")
-        assert code == 0
-        assert (out, plain_err) == (plain, "")
-        spans = [json.loads(line) for line in err.splitlines()]
-        assert [span["stage"] for span in spans] == ["parse", "compute", "render", "write"]
+    cases = [
+        (DISPERSION_ARGS, 0, ALL_STAGES),
+        # map-check fails its identities away from scale 1
+        ((*MAP_CHECK_ARGS, "--scale", "0.5"), 1, ALL_STAGES),
+        # refused in compute: the spans closed before it follow the error line
+        ((*MAP_CHECK_ARGS, "--m", "1e200"), 3, ["parse"]),
+    ]
+    for (argv, exit_code, stages), fmt in itertools.product(cases, ("csv", "json")):
+        _, plain, plain_err = run(capsys, *argv, "--format", fmt)
+        code, out, err = run(capsys, *argv, "--format", fmt, "--timing")
+        assert code == exit_code
+        assert out == plain
+        lines = err.splitlines()
+        assert lines[: len(lines) - len(stages)] == plain_err.splitlines()
+        spans = [json.loads(line) for line in lines[len(lines) - len(stages) :]]
+        assert [span["stage"] for span in spans] == stages
         # the stages follow one another from the start of the invocation
         assert spans[0]["start_s"] == 0.0
         for span, following in zip(spans, spans[1:]):
@@ -229,6 +243,16 @@ def test_sweep_rejects_an_unbounded_range_without_warnings(capsys, low, high, me
     assert code == 3
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_sweep_refuses_a_count_over_its_cap(capsys, monkeypatch):
+    # the cap lowered, so that no test allocates at the real one
+    monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", 4)
+    argv = ("sweep", "--m", "1", "--k", "0,0,0.1", "--p3-min", "0", "--p3-max", "1")
+    code, out, _ = run(capsys, *argv, "--count", "4")
+    assert code == 0 and len(out.splitlines()) == 12
+    code, out, err = run(capsys, *argv, "--count", "5")
+    assert (code, out, err) == (3, "", "error: --count 5 is over the limit 4\n")
 
 
 @pytest.mark.parametrize("count", ["0", "2"])
@@ -1053,18 +1077,19 @@ def test_verify_suite_output(capsys):
         "holonomy-wound", "holonomy-flat", "holonomy-random", "involution"
     ]
     for check in document["checks"]:
-        assert list(check) == ["name", "passed", "detail"]
+        assert list(check) == ["name", "value", "bound", "margin", "passed"]
+        assert check["value"] <= check["bound"]
+        assert check["margin"] == check["bound"] - check["value"]
         assert check["passed"] is True
-        assert isinstance(check["detail"], str) and check["detail"]
     assert document["failed"] == 0
 
 
 VERIFY_NAMES = [
     "holonomy-wound", "holonomy-flat", "holonomy-random", "involution",
-    "frozen-first-order", "frozen-closed-form", "gap-sign", "gap-expansion",
-    "flat-collapse", "perpendicular-degenerate",
-    "intertwine-plus", "intertwine-minus", "phase-commutation", "density-invariance",
-    "map-roundtrip", "kernel-transport", "flat-identity",
+    "frozen-first-order", "frozen-first-order-gap", "frozen-closed-form", "gap-sign",
+    "gap-expansion", "flat-collapse", "perpendicular-degenerate",
+    "intertwine_plus", "intertwine_minus", "commutation", "density", "roundtrip",
+    "kernel_residual", "mapped_kernel_residual", "flat-identity",
     "z2-group", "prefer-standard-structure", "prefer-exotic-structure", "magma-json",
     "chain-identity-start", "chain-involution-swap", "chain-double-involution",
     "chain-parity", "chain-degenerate-guard", "chain-absorber",
@@ -1078,14 +1103,55 @@ def test_verify_all_suites_pass_in_both_formats(capsys):
     assert code == 0
     document = json.loads(out)
     assert [check["name"] for check in document["checks"]] == VERIFY_NAMES
+    assert all(check["value"] <= check["bound"] for check in document["checks"])
     assert all(check["passed"] is True for check in document["checks"])
     assert document["failed"] == 0
     code, out, _ = run(capsys, "verify", "--format", "csv")
     assert code == 0
     records = list(csv.reader(io.StringIO(out)))
-    assert records[:4] == [["# suite = all"], ["failed"], ["0"], ["name", "passed", "detail"]]
-    expected = [[c["name"], "true", c["detail"]] for c in document["checks"]]
+    header = ["name", "value", "bound", "margin", "passed"]
+    assert records[:4] == [["# suite = all"], ["failed"], ["0"], header]
+    expected = [
+        [c["name"], *(_csv_cell(c[key]) for key in header[1:4]), "true"]
+        for c in document["checks"]
+    ]
     assert records[4:] == expected
+
+
+def _verify_rows(out: str, fmt: str) -> tuple[int, list[dict]]:
+    """verify's failed count and its checks table, each row keyed by column."""
+    if fmt == "json":
+        document = json.loads(out)
+        return document["failed"], document["checks"]
+    records = list(csv.reader(io.StringIO(out)))
+    header = records[3]
+    rows = [dict(zip(header, record)) for record in records[4:]]
+    for row in rows:
+        row["passed"] = {"true": True, "false": False}[row["passed"]]
+    return int(records[2][0]), rows
+
+
+@pytest.mark.parametrize("broken", ["holonomy-random", "degeneracy-lifting", "roundtrip"])
+def test_verify_table_counts_its_failed_rows(capsys, monkeypatch, broken):
+    checks = run_suite("all")
+    names = [name for name, _, _ in checks]
+    # the acceptance gate indexes checks by name
+    assert len(set(names)) == len(names)
+    for _, value, bound in checks:
+        assert type(value) is float and type(bound) is float
+        assert math.isfinite(bound) and bound >= 0.0
+    # one value above its bound flips exactly that row
+    over = list(checks)
+    index = names.index(broken)
+    over[index] = (broken, over[index][2] + 1.0, over[index][2])
+    for suite, code, failing in ((checks, 0, []), (over, 1, [broken])):
+        monkeypatch.setattr(cli, "run_suite", lambda name, suite=suite: suite)
+        for fmt in ("json", "csv"):
+            exit_code, out, _ = run(capsys, "verify", "--format", fmt)
+            failed, rows = _verify_rows(out, fmt)
+            assert exit_code == code
+            assert [row["name"] for row in rows if not row["passed"]] == failing
+            assert failed == len(failing)
 
 
 def _csv_cell(value):

@@ -25,27 +25,28 @@ TWO_PI = 2.0 * math.pi
 @settings(deadline=None, max_examples=30)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_seeded_suites_pass_for_any_seed(suite, seed):
-    failed = [check for check in suite(seed=seed) if not check.passed]
+    failed = [(name, value, bound) for name, value, bound in suite(seed=seed) if not value <= bound]
     assert not failed, failed
 
 
 def test_sections_suite_reads_the_shared_bound_list(monkeypatch):
-    # the suite's verdicts are the list's value <= bound; a bound below
-    # every value fails all six map checks and nothing else
+    # the suite carries the list's triples; a bound below every value
+    # fails all seven map checks and nothing else
     shared = verification.map_checks
 
     def below(*args, **kwargs):
         return [(key, value, -1.0) for key, value, _ in shared(*args, **kwargs)]
 
     monkeypatch.setattr(verification, "map_checks", below)
-    failed = [check.name for check in sections_checks() if not check.passed]
+    failed = [name for name, value, bound in sections_checks() if not value <= bound]
     assert failed == [
-        "intertwine-plus",
-        "intertwine-minus",
-        "phase-commutation",
-        "density-invariance",
-        "map-roundtrip",
-        "kernel-transport",
+        "intertwine_plus",
+        "intertwine_minus",
+        "commutation",
+        "density",
+        "roundtrip",
+        "kernel_residual",
+        "mapped_kernel_residual",
     ]
 
 
