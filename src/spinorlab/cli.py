@@ -7,16 +7,18 @@ the single-valued fields as one header line and one row, then each table;
 floats to 12 significant digits, cells quoted per RFC 4180) or JSON (fixed
 key order, round-trip-exact floats, a table as one object per row).  A
 table is one list per column from the runner to the renderer, which zips
-the columns into rows only as it prints them.  Only the commands that read
-a --config file take the flag: dispersion, sweep, preference, map-check
-and algebra chain.
+the columns into rows only as it prints them.  Each runner takes its
+command's flags as keyword parameters named by their argparse dests.  Only
+the commands that read a --config file take the flag: dispersion, sweep,
+preference, map-check and algebra chain; each reads it once, and only when
+one of the --scale and --tol flags it takes is missing.
 Identical invocations produce byte-identical output; with --timing, the
 parse, compute, render and write stages are timed and written to stderr
 only, one JSON line each (on exit 3, the stages closed before the refusal).
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 usage error, 3 domain error (bad input to the mathematics or an
-unreadable/unwritable file).
+unreadable, unwritable or non-UTF-8 file).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .dispersion import (
     preferred_branch,
     signed_shift,
 )
-from .errors import DomainError, as_bool, check_finite, check_non_negative
+from .errors import DomainError, as_bool, check_finite, check_non_negative, parse_json
 from .lattice import STRUCTURE_TWIST, RingSpec, ring_modes
 from .magma import BUILTIN_NAMES, FiniteMagma, analyze, builtin, compose, from_json
 from .sections import map_checks, random_band_limited_section, section_from_json
@@ -55,6 +57,17 @@ from .winding import TWO_PI, WindingGradient, build_theta
 # 1103 MB as JSON (bench/process.py --sizes 1000000), three quarters of
 # the time in render; both grow linearly with the rows.
 MAX_SWEEP_ROWS = 1_000_000
+# map-check's sites x (sections + 1): its time grows with that product and
+# its memory with the sites (~1 KB each).  At the cap, with one BLAS thread
+# on a 2-core VM, a process takes 3.1 s and 85 MB peak at 49932 sites x 20
+# sections, and 2.7 s and 509 MB at 524288 sites x 1 section
+# (bench/process.py --sizes 49932 and 524288, 3 repeats).
+MAX_MAP_CHECK_SAMPLES = 1 << 20
+# the carrier of a --table-file magma, checked once the file is read and
+# before analyze's O(n^3) scan.  At the cap, analyze on the cyclic group of
+# 256 elements takes 0.87 s and 34 MB peak in one process (bench/process.py,
+# same machine); the time grows as n^3.
+MAX_TABLE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -200,7 +213,10 @@ def emit(report: Report, fmt: str, destination: str | None, mark) -> None:
     if destination is None or destination == "-":
         sys.stdout.write(rendered)
     else:
-        Path(destination).write_text(rendered)
+        try:
+            Path(destination).write_text(rendered)
+        except OSError as exc:
+            raise DomainError(f"cannot write --out: {exc}") from None
     mark("write")
 
 
@@ -215,10 +231,10 @@ def _parse_vector(text: str, dims: int, flag: str) -> np.ndarray:
 
 
 def _read_text(path: str, what: str) -> str:
-    """The text of a file; one that cannot be read is a DomainError naming what."""
+    """The UTF-8 text of a file; one that cannot be read is a DomainError naming what."""
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {what}: {exc}") from None
 
 
@@ -245,48 +261,47 @@ def _load_config(path: str | None) -> dict[str, float]:
     return values
 
 
-def _resolve(options: dict, key: str, fallback):
-    """Flag wins over config file; config wins over the built-in default.
+def _resolve(config: str | None, **flags) -> list:
+    """Each flag, else its config file value, else its default: scale 1, tol None.
 
-    The file is read at the first lookup that needs it, and its values are
-    kept in options for the rest of the command.
+    The file is read once, and only when a flag is missing.
     """
-    flag = options.get(key)
-    if flag is not None:
-        return flag
-    if "config_values" not in options:
-        options["config_values"] = _load_config(options.get("config"))
-    return options["config_values"].get(key, fallback)
+    if None not in flags.values():
+        return list(flags.values())
+    values = {"scale": 1.0, "tol": None, **_load_config(config)}
+    return [values[key] if flag is None else flag for key, flag in flags.items()]
 
 
-def _field_from_options(options: dict) -> WindingGradient:
-    k = _parse_vector(options["k"], 3, "--k")
-    return WindingGradient(k=k, scale=_resolve(options, "scale", 1.0))
+def _field(k: str, scale: float | None, config: str | None) -> WindingGradient:
+    gradient = _parse_vector(k, 3, "--k")
+    (scale,) = _resolve(config, scale=scale)
+    return WindingGradient(k=gradient, scale=scale)
 
 
-def _preference_inputs(options: dict) -> tuple[np.ndarray, WindingGradient, float]:
+def _preference_inputs(p, k, scale, tol, config) -> tuple[np.ndarray, WindingGradient, float]:
     """--p, the field and the degeneracy tol: flag, then config, then the default."""
-    momentum = _parse_vector(options["p"], 3, "--p")
-    field = _field_from_options(options)
-    tol = _resolve(options, "tol", None)
+    momentum = _parse_vector(p, 3, "--p")
+    gradient = _parse_vector(k, 3, "--k")
+    # a --scale is checked with k before the file is read for the tol alone
+    field = None if scale is None else WindingGradient(k=gradient, scale=scale)
+    scale, tol = _resolve(config, scale=scale, tol=tol)
+    field = field or WindingGradient(k=gradient, scale=scale)
     if tol is None:
         tol = default_degeneracy_tol(momentum)
     return momentum, field, tol
 
 
-def _run_dispersion(options: dict) -> Report:
-    mass = options["m"]
-    momentum = _parse_vector(options["p"], 3, "--p")
-    field = _field_from_options(options)
-    formula = options["formula"]
+def _run_dispersion(m, p, k, scale, formula, config) -> Report:
+    momentum = _parse_vector(p, 3, "--p")
+    field = _field(k, scale, config)
     parameters = {
-        "m": mass,
-        "p": options["p"],
-        "k": options["k"],
+        "m": m,
+        "p": p,
+        "k": k,
         "scale": field.scale,
         "formula": formula,
     }
-    e = branch_energies(mass, momentum[None, :], field.k, field.scale, formula)
+    e = branch_energies(m, momentum[None, :], field.k, field.scale, formula)
     # per formula: standard, plus and minus branch energies, then the gap
     results = {
         "semiclassical": (e.rest, e.semiclassical_plus, e.semiclassical_minus, e.signed_shift),
@@ -308,32 +323,29 @@ def _run_dispersion(options: dict) -> Report:
     return Report("dispersion", parameters, {"branches": branches, "gaps": gaps}, csv_table=table)
 
 
-def _run_sweep(options: dict) -> Report:
-    mass = options["m"]
-    field = _field_from_options(options)
-    p_transverse = _parse_vector(options["p_transverse"], 2, "--p-transverse")
-    start, stop = options["p3_min"], options["p3_max"]
-    count = options["count"]
+def _run_sweep(m, k, p_transverse, p3_min, p3_max, count, scale, config) -> Report:
+    field = _field(k, scale, config)
+    transverse = _parse_vector(p_transverse, 2, "--p-transverse")
     check_non_negative("--count", count)
     if count > MAX_SWEEP_ROWS:
         raise DomainError(f"--count {count} is over the limit {MAX_SWEEP_ROWS}")
-    check_finite("momentum", p_transverse, start, stop)
-    if not math.isfinite(stop - start):
+    check_finite("momentum", transverse, p3_min, p3_max)
+    if not math.isfinite(p3_max - p3_min):
         raise DomainError("--p3-max - --p3-min overflows float64")
     parameters = {
-        "m": mass,
-        "k": options["k"],
+        "m": m,
+        "k": k,
         "scale": field.scale,
-        "p_transverse": options["p_transverse"],
-        "p3_min": start,
-        "p3_max": stop,
+        "p_transverse": p_transverse,
+        "p3_min": p3_min,
+        "p3_max": p3_max,
         "count": count,
     }
-    p3 = np.linspace(start, stop, count)
+    p3 = np.linspace(p3_min, p3_max, count)
     momenta = np.column_stack(
-        (np.full(count, p_transverse[0]), np.full(count, p_transverse[1]), p3)
+        (np.full(count, transverse[0]), np.full(count, transverse[1]), p3)
     )
-    energies = branch_energies(mass, momenta, field.k, field.scale)
+    energies = branch_energies(m, momenta, field.k, field.scale)
     columns = {
         "p3": p3,
         "e_plus_semiclassical": energies.semiclassical_plus,
@@ -347,12 +359,12 @@ def _run_sweep(options: dict) -> Report:
     return Report("sweep", parameters, {"rows": table})
 
 
-def _run_preference(options: dict) -> Report:
-    momentum, field, tol = _preference_inputs(options)
+def _run_preference(p, k, scale, tol, config) -> Report:
+    momentum, field, tol = _preference_inputs(p, k, scale, tol, config)
     preference = preferred_branch(field, momentum, tol)
     parameters = {
-        "p": options["p"],
-        "k": options["k"],
+        "p": p,
+        "k": k,
         "scale": field.scale,
         "tol": tol,
     }
@@ -364,13 +376,7 @@ def _run_preference(options: dict) -> Report:
     return Report("preference", parameters, fields)
 
 
-def _run_ring_spectrum(options: dict) -> Report:
-    sites = options["sites"]
-    length = options["length"]
-    mass = options["m"]
-    twist = options["twist"]
-    structure = options["structure"]
-    count = options["count"]
+def _run_ring_spectrum(sites, length, m, twist, structure, count) -> Report:
     if twist is not None and structure is not None:
         raise DomainError("give either --twist or --structure, not both")
     if twist is None:
@@ -378,43 +384,43 @@ def _run_ring_spectrum(options: dict) -> Report:
         twist = STRUCTURE_TWIST[Structure(structure or "standard")]
     if count is not None:
         check_non_negative("--count", count)
-    spec = RingSpec(sites=sites, circumference=length, twist=twist, mass=mass)
+    spec = RingSpec(sites=sites, circumference=length, twist=twist, mass=m)
     columns = [column[:count].tolist() for column in ring_modes(spec)]
     parameters = {
         "sites": sites,
         "length": length,
         "twist": twist,
-        "m": mass,
+        "m": m,
         "count": len(columns[0]),
     }
     header = ("n", "e_n", "energy", "multiplicity")
     return Report("ring-spectrum", parameters, {"rows": Table(header, columns)})
 
 
-def _run_map_check(options: dict) -> Report:
-    sites = options["sites"]
-    length = options["length"]
-    winding = options["winding"]
-    mass = options["m"]
-    draws = options["sections"]
-    seed = options["seed"]
-    check_non_negative("--sections", draws)
+def _run_map_check(
+    sites, length, winding, m, sections, seed, scale, tol, section_file, config
+) -> Report:
+    check_non_negative("--sections", sections)
     check_non_negative("--seed", seed)
-    scale = _resolve(options, "scale", 1.0)
-    tol = _resolve(options, "tol", None)
+    if sites * (sections + 1) > MAX_MAP_CHECK_SAMPLES:
+        raise DomainError(
+            f"--sites x (--sections + 1) = {sites * (sections + 1)} is over the limit "
+            f"{MAX_MAP_CHECK_SAMPLES}"
+        )
+    scale, tol = _resolve(config, scale=scale, tol=tol)
 
     theta = build_theta(sites, length, winding)
     rng = np.random.default_rng(seed)
     given = []
-    if options.get("section_file"):
-        given.append(section_from_json(_read_text(options["section_file"], "section file")))
-    count = len(given) + draws
+    if section_file:
+        given.append(section_from_json(_read_text(section_file, "section file")))
+    count = len(given) + sections
     if not count:
         raise DomainError("nothing to check: no sections requested")
     # one section alive at a time: the file's, then the seeded draws in order
-    drawn = (random_band_limited_section(sites, length, rng) for _ in range(draws))
+    drawn = (random_band_limited_section(sites, length, rng) for _ in range(sections))
 
-    checks = map_checks(itertools.chain(given, drawn), theta, mass, scale, harmonic=1, tol=tol)
+    checks = map_checks(itertools.chain(given, drawn), theta, m, scale, harmonic=1, tol=tol)
     residuals = {key: value for key, value, _ in checks}
     kernel = residuals.pop("kernel_residual"), residuals.pop("mapped_kernel_residual")
     passed = all(value <= bound for _, value, bound in checks)
@@ -422,7 +428,7 @@ def _run_map_check(options: dict) -> Report:
         "sites": sites,
         "length": length,
         "winding": winding,
-        "m": mass,
+        "m": m,
         "scale": scale,
         # the intertwining bound is the tol itself
         "tol": checks[0][2],
@@ -438,56 +444,57 @@ def _run_map_check(options: dict) -> Report:
     return Report("map-check", parameters, fields, exit_code=0 if passed else 1)
 
 
-def _magma_from_options(options: dict) -> FiniteMagma:
-    name = options.get("table")
-    path = options.get("table_file")
-    if (name is None) == (path is None):
+def _magma(table: str | None, table_file: str | None) -> FiniteMagma:
+    if (table is None) == (table_file is None):
         raise DomainError("give exactly one of --table or --table-file")
-    if name is not None:
-        return builtin(name)
-    return from_json(_read_text(path, "table file"))
+    if table is not None:
+        return builtin(table)
+    magma_obj = from_json(_read_text(table_file, "table file"))
+    if len(magma_obj.carrier) > MAX_TABLE_SIZE:
+        raise DomainError(
+            f"--table-file carrier of {len(magma_obj.carrier)} labels is over the limit "
+            f"{MAX_TABLE_SIZE}"
+        )
+    return magma_obj
 
 
-def _run_algebra_analyze(options: dict) -> Report:
-    magma_obj = _magma_from_options(options)
+def _run_algebra_analyze(table, table_file) -> Report:
+    magma_obj = _magma(table, table_file)
     # the magma's fields, then the structure report's, each in declared
     # order; tuples render as JSON arrays in both formats
     fields = {**vars(magma_obj), **vars(analyze(magma_obj))}
     return Report("algebra analyze", {"table": magma_obj.name}, fields)
 
 
-def _run_algebra_compose(options: dict) -> Report:
-    magma_obj = _magma_from_options(options)
-    result = compose(magma_obj, options["left"], options["right"])
-    fields = {"left": options["left"], "right": options["right"], "result": result}
+def _run_algebra_compose(table, table_file, left, right) -> Report:
+    magma_obj = _magma(table, table_file)
+    result = compose(magma_obj, left, right)
+    fields = {"left": left, "right": right, "result": result}
     return Report("algebra compose", {"table": magma_obj.name}, fields)
 
 
-def _run_algebra_chain(options: dict) -> Report:
-    momentum, field, tol = _preference_inputs(options)
+def _run_algebra_chain(events, initial, p, k, scale, tol, config) -> Report:
+    momentum, field, tol = _preference_inputs(p, k, scale, tol, config)
     table = select_table(field, momentum, tol)
-    try:
-        raw = json.loads(_read_text(options["events"], "events file"))
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"invalid events JSON: {exc}") from None
+    raw = parse_json(_read_text(events, "events file"), "events")
     if not isinstance(raw, list):
         raise DomainError("events JSON must be a list of {operand, involute} objects")
-    events = []
+    chain = []
     for item in raw:
         if not isinstance(item, dict) or "operand" not in item:
             raise DomainError("each event needs an 'operand' key")
         if not isinstance(item["operand"], str):
             raise DomainError("event operand must be a string")
         involute_first = as_bool("involute", item.get("involute", False))
-        events.append(ChainEvent(item["operand"], involute_first))
-    final, trace = run_chain(options["initial"], events, table)
+        chain.append(ChainEvent(item["operand"], involute_first))
+    final, trace = run_chain(initial, chain, table)
     parameters = {
-        "p": options["p"],
-        "k": options["k"],
+        "p": p,
+        "k": k,
         "scale": field.scale,
         "tol": tol,
-        "initial": options["initial"],
-        "events": options["events"],
+        "initial": initial,
+        "events": events,
     }
     header = ("step", "table", "state")  # ChainStep's fields
     fields = {
@@ -498,8 +505,7 @@ def _run_algebra_chain(options: dict) -> Report:
     return Report("algebra chain", parameters, fields)
 
 
-def _run_verify(options: dict) -> Report:
-    suite = options["suite"]
+def _run_verify(suite) -> Report:
     names, values, bounds = map(list, zip(*run_suite(suite)))
     margins = [bound - value for value, bound in zip(values, bounds)]
     passed = [value <= bound for value, bound in zip(values, bounds)]
@@ -509,10 +515,9 @@ def _run_verify(options: dict) -> Report:
     return Report("verify", {"suite": suite}, fields, exit_code=0 if failed == 0 else 1)
 
 
-def run_command(run: Callable[[dict], Report], options: dict) -> Report:
-    """The Report of the runner build_parser names for the command, on its options."""
-    # a copy, so that the config values _resolve keeps stay with this command
-    return run(dict(options))
+def run_command(run: Callable[..., Report], flags: dict) -> Report:
+    """The Report of the runner build_parser names for the command, on its flags."""
+    return run(**flags)
 
 
 def _add_momentum_field(parser: argparse.ArgumentParser, tol: bool) -> None:
@@ -525,7 +530,7 @@ def _add_momentum_field(parser: argparse.ArgumentParser, tol: bool) -> None:
 
 
 def _add_common(parser: argparse.ArgumentParser, default_format: str, run, config=False) -> None:
-    """The output flags, the runner the options go to, and --config if the runner reads it."""
+    """The output flags, the runner its flags go to, and --config if the runner reads it."""
     parser.set_defaults(run=run)
     parser.add_argument("--format", choices=("csv", "json"), default=default_format)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
@@ -637,25 +642,24 @@ def main(argv: list[str] | None = None) -> int:
     stages = _Stages()
     parser = build_parser()
     try:
-        options = vars(parser.parse_args(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    run = options.pop("run")
-    fmt = options.pop("format")
-    destination = options.pop("out")
-    timing = options.pop("timing")
+    # the runner's flags: all but the runner, the output flags and the subparser names
+    skip = ("run", "format", "out", "timing", "command", "subcommand")
+    flags = {key: value for key, value in vars(args).items() if key not in skip}
     stages.mark("parse")
     try:
-        report = run_command(run, options)
+        report = run_command(args.run, flags)
         stages.mark("compute")
-        emit(report, fmt, destination, stages.mark)
+        emit(report, args.format, args.out, stages.mark)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 3
     else:
         code = report.exit_code
     # also on exit 3: the spans closed before the refusal
-    if timing:
+    if args.timing:
         sys.stderr.write(stages.lines())
     return code
 

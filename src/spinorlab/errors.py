@@ -1,6 +1,7 @@
 """DomainError and the one table of input rules, each validator owning a rule's
 test and message.  No numpy at load time: magma imports this module."""
 
+import json
 import math
 
 
@@ -60,6 +61,14 @@ def as_winding(winding) -> int:
     if whole != winding:
         raise DomainError("winding must be an integer")
     return whole
+
+
+def parse_json(text: str, what: str):
+    """text read as JSON; text that is not JSON, or nests too deep to read, is refused."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DomainError(f"invalid {what} JSON: {exc}") from None
 
 
 def as_bool(what: str, value) -> bool:

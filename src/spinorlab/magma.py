@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from operator import itemgetter, ne
 
-from .errors import DomainError
+from .errors import DomainError, parse_json
 
 # Carrier labels use the unicode middle dot; an ASCII period is accepted on
 # input and normalized.
@@ -198,10 +198,7 @@ def to_json(magma: FiniteMagma) -> str:
 
 def from_json(text: str, name: str = "custom") -> FiniteMagma:
     """Load a magma from {"carrier": [...], "table": [[...]]} JSON, taking values as typed."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"invalid magma JSON: {exc}") from None
+    payload = parse_json(text, "magma")
     if not isinstance(payload, dict) or "carrier" not in payload or "table" not in payload:
         raise DomainError("magma JSON needs 'carrier' and 'table' keys")
     name = payload.get("name", name)

@@ -55,7 +55,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import Structure
-from .errors import DomainError, as_bool, check_circumference, check_finite, check_mass, check_tol
+from .errors import (
+    DomainError,
+    as_bool,
+    check_circumference,
+    check_finite,
+    check_mass,
+    check_tol,
+    parse_json,
+)
 from .gamma import GAMMA0, GAMMA3
 from .winding import (
     ThetaField,
@@ -93,9 +101,14 @@ class SampledSection:
 def _check_grid(section: SampledSection, theta: ThetaField) -> None:
     """The section must sit on the ring grid of the angle field and its phase."""
     if section.sites != theta.sites:
-        raise DomainError("section and phase live on different grids")
+        raise DomainError(
+            f"section and phase live on different grids: {section.sites} and {theta.sites} sites"
+        )
     if abs(section.circumference - theta.circumference) > 1e-12 * theta.circumference:
-        raise DomainError("section and phase circumferences differ")
+        raise DomainError(
+            "section and phase circumferences differ: "
+            f"{section.circumference!r} and {theta.circumference!r}"
+        )
 
 
 def to_standard(section: SampledSection, theta: ThetaField) -> SampledSection:
@@ -433,10 +446,7 @@ def _json_number(what: str, value):
 
 
 def section_from_json(text: str) -> SampledSection:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"invalid section JSON: {exc}") from None
+    payload = parse_json(text, "section")
     try:
         values = np.array(
             [

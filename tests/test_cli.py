@@ -255,6 +255,29 @@ def test_sweep_refuses_a_count_over_its_cap(capsys, monkeypatch):
     assert (code, out, err) == (3, "", "error: --count 5 is over the limit 4\n")
 
 
+def test_map_check_refuses_sites_times_sections_over_its_cap(capsys, monkeypatch):
+    # the cap lowered: 16 sites x (3 + 1) sections is at it, one more section is over
+    monkeypatch.setattr(cli, "MAX_MAP_CHECK_SAMPLES", 64)
+    code, _, _ = run(capsys, "map-check", "--sites", "16", "--sections", "3")
+    assert code == 0
+    code, out, err = run(capsys, "map-check", "--sites", "16", "--sections", "4")
+    message = "error: --sites x (--sections + 1) = 80 is over the limit 64\n"
+    assert (code, out, err) == (3, "", message)
+
+
+def test_table_file_refuses_a_carrier_over_its_cap(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "MAX_TABLE_SIZE", 2)
+    path = tmp_path / "table.json"
+    for n, code_expected in ((2, 0), (3, 3)):
+        table = [[(i + j) % n for j in range(n)] for i in range(n)]
+        path.write_text(json.dumps({"carrier": [f"g{i}" for i in range(n)], "table": table}))
+        for argv in (("analyze",), ("compose", "g0", "g1")):
+            head, *tail = argv
+            code, out, err = run(capsys, "algebra", head, "--table-file", str(path), *tail)
+            assert code == code_expected
+    assert (out, err) == ("", "error: --table-file carrier of 3 labels is over the limit 2\n")
+
+
 @pytest.mark.parametrize("count", ["0", "2"])
 @pytest.mark.parametrize("transverse", ["nan,0", "0,inf", "-inf,nan"])
 def test_sweep_rejects_a_non_finite_transverse_momentum_at_any_count(capsys, count, transverse):
@@ -646,13 +669,21 @@ _EDGE_FLOATS = (
 )
 # a non-finite float as CSV prints it (nan, inf) and as JSON (NaN, Infinity)
 _NOT_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+# what an exit-3 message may name in place of one of its command's flags: the
+# inputs and symbols of the domain, each also as a plural
+_QUANTITIES = (
+    "m", "mass", "p", "momentum", "gradient", "scale", "tol", "circumference", "sites", "twist",
+    "section", "table", "magma", "carrier", "event", "involute", "parity", "config",
+)
+_NAMED = re.compile(r"\b(%s)s?\b" % "|".join(map(re.escape, _QUANTITIES)))
 
 
 def _contract(argv, codes, echoed="", out_file=None):
     """main(argv) under the output contract; returns its exit code and stdout.
 
     main does not raise, warnings are errors, the exit code is one of
-    codes, and exit 3 prints nothing and writes one error line.  The
+    codes, and exit 3 prints nothing and writes one error line, which
+    names a --flag of argv or one of _QUANTITIES.  The
     output, stdout then out_file if the run wrote it, holds no nan or inf
     token once echoed (an input path, not a computed value) is removed,
     and as JSON it parses without NaN or Infinity.
@@ -666,6 +697,9 @@ def _contract(argv, codes, echoed="", out_file=None):
     if code == 3:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        flags = {arg.split("=", 1)[0] for arg in argv if arg.startswith("--")}
+        message = err.getvalue()
+        assert flags & set(re.findall(r"--[\w-]+", message)) or _NAMED.search(message), message
     output = out.getvalue()
     if out_file is not None and out_file.is_file():
         output += out_file.read_text()
@@ -768,10 +802,18 @@ def test_cli_output_contract(argv, output):
 # the file inputs' contract: a valid table or events file, with half of the
 # draws swapping one value, row, list or the whole document for a JSON edge
 # token written as raw text, so 1e400 (read as inf) and NaN reach the readers
-# as written; they are half of the swaps
+# as written; they are half of the swaps.  A lone surrogate is written as the
+# byte 0xff (not UTF-8), and DEEP nests past what the JSON reader recurses into
+_NOT_UTF8 = "\udcff"
+_DEEP = "[" * 10**5 + "]" * 10**5
 _JSON_EDGE = st.sampled_from(("1e400", "NaN")) | st.sampled_from(
     ("-0.0", "0.5", "true", "false", "null", "-1", "7", '"1"', "[]", "[[0]]", "{}")
-)
+) | st.sampled_from((_NOT_UTF8, _DEEP))
+
+
+def _write(path, text):
+    """text as UTF-8, with each lone surrogate written as the byte it escapes."""
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
 
 
 def _json_paths(node, path=()):
@@ -831,8 +873,36 @@ def _file_input(draw):
 def test_file_input_output_contract(tmp_path_factory, command, output):
     head, text, tail = command
     path = tmp_path_factory.getbasetemp() / "contract-input.json"
-    path.write_text(text)
+    _write(path, text)
     _contract([*head, str(path), *tail, f"--format={output}"], (0, 2, 3), echoed=str(path))
+
+
+# each file flag: the argv that reads it, what its read error names, and what
+# its JSON error names (None: the file is not JSON)
+_FILE_READERS = (
+    ("--config", ["preference", "--p=0,0,0.5", "--k=0,0,0.01"], "config {!r}", None),
+    ("--table-file", ["algebra", "analyze"], "table file", "magma"),
+    ("--section-file", ["map-check", "--sites=16", "--sections=0"], "section file", "section"),
+    ("--events", ["algebra", "chain", "--initial=S", "--p=0,0,0.5", "--k=0,0,0.01"],
+     "events file", "events"),
+)
+_NOT_UTF8_REASON = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+_DEEP_REASON = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+
+
+@pytest.mark.parametrize(("flag", "argv", "what", "json_what"), _FILE_READERS)
+def test_a_file_not_utf8_or_nested_too_deep_is_exit_3(
+    capsys, tmp_path, flag, argv, what, json_what
+):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff")
+    code, out, err = run(capsys, *argv, flag, str(path))
+    what = what.format(str(path))
+    assert (code, out, err) == (3, "", f"error: cannot read {what}: {_NOT_UTF8_REASON}\n")
+    if json_what is not None:
+        path.write_text(_DEEP)
+        code, out, err = run(capsys, *argv, flag, str(path))
+        assert (code, out, err) == (3, "", f"error: invalid {json_what} JSON: {_DEEP_REASON}\n")
 
 
 # the rest of the CLI: verify's suites, the builtin tables on labels from a
@@ -844,7 +914,7 @@ _CONFIG_LINE = st.sampled_from(
     (
         "scale = 1", "tol = 1e-9", "scale = 1_0", "tol = 1_0e-9", "# note", "", "scale = nan",
         "tol = inf", "scale = -Infinity", "scale = 1e400", "scale = 0x10", "mass = 2",
-        "scale 1", "= 1", "tol =",
+        "scale 1", "= 1", "tol =", f"scale = 1  # {_NOT_UTF8}",
     )
 )
 # (argv, exit codes) of the commands that read a config file
@@ -860,7 +930,7 @@ _SECTION_TOKENS = {key: json.dumps(value) for key, value in _SECTION.items()} | 
 _SECTION_PATHS = list(_json_paths(_SECTION_TOKENS))
 _SECTION_EDGE = st.sampled_from(
     ("true", "null", '"1"', "1e400", "NaN", "-0.0", "0.5", "[]", "[0, 0, 0]", "[[0, 0]]")
-)
+) | st.sampled_from((_NOT_UTF8, _DEEP))
 
 
 @st.composite
@@ -896,7 +966,7 @@ def test_rest_of_cli_output_contract(tmp_path_factory, command, output, destinat
     base = tmp_path_factory.getbasetemp()
     path, report = base / "contract-input", base / "contract-report"
     if text is not None:
-        path.write_text(text)
+        _write(path, text)
     report.unlink(missing_ok=True)
     argv = [str(path) if arg == "{in}" else arg for arg in argv] + [f"--format={output}"]
     if destination == "file":
@@ -1302,6 +1372,29 @@ def test_config_file_read_once_per_command(capsys, tmp_path, monkeypatch):
     )
     assert code == 0
     assert len(reads) == 2
+
+
+# each command that reads --config, given a bad flag and an unreadable file:
+# the refusal that comes first (the file is read once the flags before it parse)
+_READ_ORDER = (
+    (["dispersion", "--m", "1", "--p", "0,0,1", "--k", "1,2"], "--k expects 3"),
+    (["preference", "--p", "0,0,1", "--k", "x,0,0"], "--k expects numbers"),
+    (["map-check", "--sites", "16", "--sections", "-1"], "--sections must be"),
+    (["sweep", "--m", "1", "--k", "0,0,1", "--p-transverse", "x", "--p3-min", "0",
+      "--p3-max", "1", "--count", "2"], "cannot read config"),
+    (["algebra", "chain", "--events", "events.json", "--initial", "S", "--p", "1,2", "--k",
+      "0,0,1"], "--p expects 3"),
+    # a --scale is checked with k before the file is read for the tol alone
+    (["preference", "--p", "0,0,1", "--k", "inf,0,0", "--scale", "1"], "gradient data"),
+    (["preference", "--p", "0,0,1", "--k", "inf,0,0"], "cannot read config"),
+)
+
+
+@pytest.mark.parametrize(("argv", "first"), _READ_ORDER)
+def test_a_bad_flag_and_an_unreadable_config_refuse_in_order(capsys, tmp_path, argv, first):
+    code, out, err = run(capsys, *argv, "--config", str(tmp_path / "missing.cfg"))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {first}")
 
 
 def test_usage_errors_exit_2(capsys):

@@ -118,6 +118,9 @@ def test_only_finite_float_and_int_columns_are_numeric():
 def test_runners_hand_over_python_columns(argv):
     # a numpy scalar misses the %r and %d templates and prints as its repr
     options = vars(cli.build_parser().parse_args(argv))
+    # what main removes: the runner, the output flags and the subparser names
+    for key in ("format", "out", "timing", "command", "subcommand"):
+        options.pop(key, None)
     report = cli.run_command(options.pop("run"), options)
     values = [*report.fields.values(), report.csv_table]
     for table in [value for value in values if isinstance(value, cli.Table)]:
