@@ -17,8 +17,10 @@ parse, compute, render and write stages are timed and written to stderr
 only, one JSON line each (on exit 3, the stages closed before the refusal).
 
 Exit codes: 0 success / verification passed, 1 verification failed,
-2 usage error, 3 domain error (bad input to the mathematics or an
-unreadable, unwritable or non-UTF-8 file).
+2 usage error, 3 domain error (bad input to the mathematics, an
+unreadable, unwritable or non-UTF-8 file, or a closed stdout).  A closed
+or unwritable stderr takes no error or --timing lines and leaves the exit
+code as it is.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from collections.abc import Callable, Sequence
@@ -47,7 +50,7 @@ from .dispersion import (
 )
 from .errors import DomainError, as_bool, check_finite, check_non_negative, parse_json
 from .lattice import STRUCTURE_TWIST, RingSpec, ring_modes
-from .magma import BUILTIN_NAMES, FiniteMagma, analyze, builtin, compose, from_json
+from .magma import BUILTIN_NAMES, MAX_CARRIER, FiniteMagma, analyze, builtin, compose, from_json
 from .sections import map_checks, random_band_limited_section, section_from_json
 from .verification import SUITES, run_suite
 from .winding import TWO_PI, WindingGradient, build_theta
@@ -64,10 +67,11 @@ MAX_SWEEP_ROWS = 1_000_000
 # (bench/process.py --sizes 49932 and 524288, 3 repeats).
 MAX_MAP_CHECK_SAMPLES = 1 << 20
 # the carrier of a --table-file magma, checked once the file is read and
-# before analyze's O(n^3) scan.  At the cap, analyze on the cyclic group of
-# 256 elements takes 0.87 s and 34 MB peak in one process (bench/process.py,
-# same machine); the time grows as n^3.
-MAX_TABLE_SIZE = 256
+# before analyze's O(n^3) scan: the most labels analyze takes.  At the cap,
+# a process takes 0.18 s and 34 MB peak on the cyclic group of 256 elements
+# (analyze 0.03 s of it) and 0.26 s and 40 MB on a random table (analyze
+# 0.08 s) (bench/process.py, same machine); the scan grows as n^3.
+MAX_TABLE_SIZE = MAX_CARRIER
 
 
 @dataclass(frozen=True)
@@ -211,6 +215,8 @@ def emit(report: Report, fmt: str, destination: str | None, mark) -> None:
     rendered = {"csv": _render_csv, "json": _render_json}[fmt](report)
     mark("render")
     if destination is None or destination == "-":
+        if sys.stdout is None:
+            raise DomainError("cannot write stdout: it is closed")
         sys.stdout.write(rendered)
     else:
         try:
@@ -638,6 +644,18 @@ class _Stages:
         )
 
 
+def _to_stderr(text: str) -> None:
+    """Write text to stderr; a closed or unwritable stderr takes nothing.
+
+    The exit code is the same either way.
+    """
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(text)
+        except OSError:
+            pass
+
+
 def main(argv: list[str] | None = None) -> int:
     stages = _Stages()
     parser = build_parser()
@@ -654,18 +672,37 @@ def main(argv: list[str] | None = None) -> int:
         stages.mark("compute")
         emit(report, args.format, args.out, stages.mark)
     except (DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _to_stderr(f"error: {exc}\n")
         code = 3
     else:
         code = report.exit_code
     # also on exit 3: the spans closed before the refusal
     if args.timing:
-        sys.stderr.write(stages.lines())
+        _to_stderr(stages.lines())
     return code
 
 
 def console_main() -> None:
-    sys.exit(main())
+    """The console script: main(), a flush of stdout and stderr, and os._exit.
+
+    Once the output is flushed the process has nothing left to do, and the
+    interpreter's teardown with numpy loaded costs ~20 ms, so it is skipped:
+    atexit handlers do not run.  A stdout flush that fails falls back to
+    sys.exit, whose teardown reports it as it would without this path.  A
+    stderr flush that fails is ignored, as main() ignores a failed write there.
+    """
+    code = main()
+    if sys.stderr is not None:
+        try:
+            sys.stderr.flush()
+        except OSError:
+            pass
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError:
+            sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

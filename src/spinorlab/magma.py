@@ -21,9 +21,12 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from operator import itemgetter, ne
 
 from .errors import DomainError, parse_json
+
+# the most labels analyze takes: it holds each table row as bytes, one
+# entry per byte
+MAX_CARRIER = 256
 
 # Carrier labels use the unicode middle dot; an ASCII period is accepted on
 # input and normalized.
@@ -130,9 +133,12 @@ def analyze(magma: FiniteMagma) -> StructureReport:
     Commutativity violations are unordered pairs, each reported once in
     carrier order.  The associativity witness is the first failing triple in
     carrier (row-major) order.  is_group requires exactly one identity, no
-    associativity failures, and a two-sided inverse for every element.
+    associativity failures, and a two-sided inverse for every element.  A
+    carrier of more than MAX_CARRIER labels is a DomainError.
     """
     n = len(magma.carrier)
+    if n > MAX_CARRIER:
+        raise DomainError(f"analyze takes at most {MAX_CARRIER} labels, got {n}")
     table = magma.table
 
     identities = tuple(
@@ -152,22 +158,25 @@ def analyze(magma: FiniteMagma) -> StructureReport:
         if table[x][y] != table[y][x]
     )
 
-    # row by row: for each (x, y), (xy)z is row xy of the table and x(yz)
-    # is row x read at the entries of row y, compared over every z at once.
-    # A one-element magma is associative, and itemgetter of a single index
-    # would return a bare entry, so it has no lookups to scan.
+    # one n x n block per x, row-major over (y, z): (xy)z is the rows named
+    # by row x laid end to end, and x(yz) is the whole table with each entry
+    # mapped through row x.  Where they differ, their XOR taken as big-endian
+    # ints has a non-zero byte per mismatch, the first in its highest set bit.
     assoc_count = 0
     witness: tuple[str, str, str] | None = None
-    lookups = [itemgetter(*row) for row in table] if n > 1 else []
-    for x, row_x in enumerate(table):
-        for y, lookup in enumerate(lookups):
-            left, right = table[row_x[y]], lookup(row_x)
-            mismatches = sum(map(ne, left, right))
-            if mismatches:
-                assoc_count += mismatches
-                if witness is None:
-                    z = next(z for z in range(n) if left[z] != right[z])
-                    witness = (magma.carrier[x], magma.carrier[y], magma.carrier[z])
+    rows = [bytes(row) for row in table]
+    flat = b"".join(rows)
+    padding = bytes(256 - n)  # translate maps all 256 byte values
+    for x, row_x in enumerate(rows):
+        left = b"".join(map(rows.__getitem__, row_x))
+        right = flat.translate(row_x + padding)
+        if left == right:
+            continue
+        diff = int.from_bytes(left, "big") ^ int.from_bytes(right, "big")
+        assoc_count += n * n - diff.to_bytes(n * n, "big").count(0)
+        if witness is None:
+            y, z = divmod(n * n - 1 - (diff.bit_length() - 1) // 8, n)
+            witness = (magma.carrier[x], magma.carrier[y], magma.carrier[z])
 
     is_group = False
     if len(identities) == 1 and assoc_count == 0:

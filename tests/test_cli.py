@@ -1418,6 +1418,20 @@ def test_config_is_a_usage_error_where_it_is_not_read(capsys, command):
     assert "unrecognized arguments: --config x" in err
 
 
+def _console(argv, unbuffered=False, **kwargs) -> subprocess.CompletedProcess:
+    """A child interpreter running the CLI through python -m on argv, its output as bytes.
+
+    The child's environment drops every PYTHON* variable, as clibench/run.py's
+    children's does, so its stdout is block-buffered and its stderr
+    line-buffered unless unbuffered sets PYTHONUNBUFFERED=1.
+    """
+    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", *argv], env=env, **kwargs)
+
+
 @pytest.mark.parametrize("module", ["spinorlab", "spinorlab.cli"])
 @pytest.mark.parametrize(
     "argv, code, stream, text",
@@ -1425,15 +1439,100 @@ def test_config_is_a_usage_error_where_it_is_not_read(capsys, command):
         (["--version"], 0, "stdout", "spinorlab 0.1.0\n"),
         (["dispersion", "--m", "1", "--p", "1,2", "--k", "0,0,0"], 3, "stderr",
          "error: --p expects 3 comma-separated numbers, got '1,2'\n"),
+        (["dispersion", "--m", "1"], 2, None, None),
+        (["map-check", "--scale", "2"], 1, None, None),
+        (list(DISPERSION_ARGS), 0, None, None),
+        ([*DISPERSION_ARGS, "--format", "json"], 0, None, None),
+        ([*DISPERSION_ARGS, "--timing"], 0, None, None),
     ],
 )
-def test_module_entry_points_run_the_cli(module, argv, code, stream, text):
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
+def test_module_entry_points_run_the_cli(capsys, module, argv, code, stream, text):
+    done = _console([module, *argv], capture_output=True)
+    assert done.returncode == code
+    if stream is not None:
+        assert getattr(done, stream) == text.encode()
+    # the console path flushes and ends the process in os._exit: its exit
+    # code and output bytes are main()'s in process, the --timing spans aside
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert done.stdout == out.encode()
+    if "--timing" in argv:
+        stages = [json.loads(line)["stage"] for line in done.stderr.decode().splitlines()]
+        assert stages == ["parse", "compute", "render", "write"]
+    else:
+        assert done.stderr == err.encode()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_console_path_reports_a_reader_that_closed_first(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _console(
+            ["spinorlab", *DISPERSION_ARGS], unbuffered, stdout=write_end, stderr=subprocess.PIPE
+        )
+    finally:
+        os.close(write_end)
+    if unbuffered:
+        # main()'s write raises EPIPE, and main reports it as exit 3
+        assert (done.returncode, done.stderr) == (3, b"error: [Errno 32] Broken pipe\n")
+    else:
+        # the write stays in stdout's buffer and main() returns 0; the flush
+        # raises EPIPE, and sys.exit's teardown reports it with exit 120
+        assert done.returncode == 120
+        assert done.stderr.startswith(b"Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+        assert done.stderr.endswith(b"\nBrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+_BAD_P = ("dispersion", "--m", "1", "--p", "1,2", "--k", "0,0,0")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "fd, argv, code, stdout, stderr",
+    [
+        (1, DISPERSION_ARGS, 3, b"", b"error: cannot write stdout: it is closed\n"),
+        (1, (*DISPERSION_ARGS, "--out", "{out}", "--timing"), 0, b"", None),
+        (2, _BAD_P, 3, b"", b""),
+        (2, (*DISPERSION_ARGS, "--timing"), 0, None, b""),
+    ],
+)
+def test_a_closed_stdout_or_stderr_keeps_the_exit_code(
+    capsys, tmp_path, unbuffered, fd, argv, code, stdout, stderr
+):
+    argv = [arg.replace("{out}", str(tmp_path / "out.csv")) for arg in argv]
+    done = _console(
+        ["spinorlab", *argv], unbuffered, capture_output=True, preexec_fn=lambda: os.close(fd)
     )
     assert done.returncode == code
-    assert getattr(done, stream) == text
+    assert b"Traceback" not in done.stderr
+    # what the closed stream would have held is not compared
+    if stdout is not None:
+        assert done.stdout == stdout
+    if stderr is not None:
+        assert done.stderr == stderr
+    if code == 0:
+        main(list(DISPERSION_ARGS))
+        want = capsys.readouterr().out
+        got = done.stdout if fd == 2 else (tmp_path / "out.csv").read_bytes()
+        assert got == want.encode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "argv, code",
+    [(_BAD_P, 3), ((*DISPERSION_ARGS, "--timing"), 0), (("map-check", "--scale", "2"), 1)],
+)
+def test_an_unwritable_stderr_keeps_the_exit_code(capsys, unbuffered, argv, code):
+    # /dev/full takes no byte, so sys.stderr is open and every write or flush
+    # of it raises ENOSPC; a stderr on a descriptor closed after start-up
+    # behaves the same way
+    with open("/dev/full", "wb") as full:
+        done = _console(["spinorlab", *argv], unbuffered, stdout=subprocess.PIPE, stderr=full)
+    assert done.returncode == code
+    assert main(list(argv)) == code
+    assert done.stdout == capsys.readouterr().out.encode()
 
 
 def test_malformed_vector_is_domain_error(capsys):

@@ -6,12 +6,14 @@ in the package data cannot silently agree with itself.
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinorlab.errors import DomainError
 from spinorlab.magma import (
+    MAX_CARRIER,
     FiniteMagma,
     analyze,
     builtin,
@@ -144,6 +146,38 @@ def test_analyze_matches_brute_force_on_random_tables(magma):
     assert report.associativity_violations == len(assoc)
     assert report.associativity_witness == (assoc[0] if assoc else None)
     assert report.is_group == is_group
+
+
+def _edge_table(n: int, kind: str) -> np.ndarray:
+    """A random table with its largest entry present, or Z_n with one cell changed."""
+    rng = np.random.default_rng(n)
+    if kind == "random":
+        table = rng.integers(0, n, size=(n, n), dtype=np.uint8)
+        table[rng.integers(n), rng.integers(n)] = n - 1
+    else:
+        table = np.add.outer(np.arange(n), np.arange(n)) % n
+        table[n // 3, 2 * n // 3] = (table[n // 3, 2 * n // 3] + 1) % n
+    return table.astype(np.uint8)
+
+
+@pytest.mark.parametrize("kind", ["random", "cyclic"])
+@pytest.mark.parametrize("n", [MAX_CARRIER - 1, MAX_CARRIER])
+def test_analyze_at_the_byte_edge_matches_numpy(n, kind):
+    table = _edge_table(n, kind)
+    magma = FiniteMagma("edge", tuple(f"g{i}" for i in range(n)), tuple(map(tuple, table.tolist())))
+    # fails[x, y, z]: (xy)z = table[table[x, y], z] against x(yz) = table[x, table[y, z]]
+    fails = table[table] != table[:, table]
+    x, y, z = np.argwhere(fails)[0]  # row-major first
+    report = analyze(magma)
+    assert report.associativity_violations == int(fails.sum()) > 0
+    assert report.associativity_witness == (f"g{x}", f"g{y}", f"g{z}")
+
+
+def test_analyze_refuses_a_carrier_over_a_byte():
+    n = MAX_CARRIER + 1
+    magma = FiniteMagma("big", tuple(f"g{i}" for i in range(n)), ((0,) * n,) * n)
+    with pytest.raises(DomainError, match=f"at most {MAX_CARRIER} labels, got {n}"):
+        analyze(magma)
 
 
 def test_z2_report():
