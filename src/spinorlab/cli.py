@@ -18,9 +18,10 @@ only, one JSON line each (on exit 3, the stages closed before the refusal).
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 usage error, 3 domain error (bad input to the mathematics, an
-unreadable, unwritable or non-UTF-8 file, or a closed stdout).  A closed
-or unwritable stderr takes no error or --timing lines and leaves the exit
-code as it is.
+unreadable, unwritable or non-UTF-8 file, or a stdout that is closed or
+fails its write and flush, buffered or not).  A closed or unwritable stderr
+takes no error or --timing lines and leaves the exit code as it is; --help
+and --version ignore a failed write to either stream, as argparse does.
 """
 
 from __future__ import annotations
@@ -218,6 +219,7 @@ def emit(report: Report, fmt: str, destination: str | None, mark) -> None:
         if sys.stdout is None:
             raise DomainError("cannot write stdout: it is closed")
         sys.stdout.write(rendered)
+        sys.stdout.flush()
     else:
         try:
             Path(destination).write_text(rendered)
@@ -652,6 +654,7 @@ def _to_stderr(text: str) -> None:
     if sys.stderr is not None:
         try:
             sys.stderr.write(text)
+            sys.stderr.flush()
         except OSError:
             pass
 
@@ -662,6 +665,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
+        # argparse's help, version and usage output; as its _print_message
+        # does, a closed or unwritable stream is ignored
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except (AttributeError, OSError):
+                pass
         return exc.code if isinstance(exc.code, int) else 2
     # the runner's flags: all but the runner, the output flags and the subparser names
     skip = ("run", "format", "out", "timing", "command", "subcommand")
@@ -683,26 +693,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    """The console script: main(), a flush of stdout and stderr, and os._exit.
+    """The console script: os._exit(main()), with no teardown or atexit handlers.
 
-    Once the output is flushed the process has nothing left to do, and the
-    interpreter's teardown with numpy loaded costs ~20 ms, so it is skipped:
-    atexit handlers do not run.  A stdout flush that fails falls back to
-    sys.exit, whose teardown reports it as it would without this path.  A
-    stderr flush that fails is ignored, as main() ignores a failed write there.
+    main() flushes what it writes, and teardown with numpy loaded costs ~20 ms.
     """
-    code = main()
-    if sys.stderr is not None:
-        try:
-            sys.stderr.flush()
-        except OSError:
-            pass
-    if sys.stdout is not None:
-        try:
-            sys.stdout.flush()
-        except OSError:
-            sys.exit(code)
-    os._exit(code)
+    os._exit(main())
 
 
 if __name__ == "__main__":

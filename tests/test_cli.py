@@ -1444,6 +1444,7 @@ def _console(argv, unbuffered=False, **kwargs) -> subprocess.CompletedProcess:
         (list(DISPERSION_ARGS), 0, None, None),
         ([*DISPERSION_ARGS, "--format", "json"], 0, None, None),
         ([*DISPERSION_ARGS, "--timing"], 0, None, None),
+        (["--help"], 0, None, None),
     ],
 )
 def test_module_entry_points_run_the_cli(capsys, module, argv, code, stream, text):
@@ -1451,8 +1452,9 @@ def test_module_entry_points_run_the_cli(capsys, module, argv, code, stream, tex
     assert done.returncode == code
     if stream is not None:
         assert getattr(done, stream) == text.encode()
-    # the console path flushes and ends the process in os._exit: its exit
-    # code and output bytes are main()'s in process, the --timing spans aside
+    # main() flushes what it writes and the console path ends in os._exit:
+    # its exit code and output bytes are main()'s in process, the --timing
+    # spans aside
     assert main(argv) == code
     out, err = capsys.readouterr()
     assert done.stdout == out.encode()
@@ -1464,24 +1466,39 @@ def test_module_entry_points_run_the_cli(capsys, module, argv, code, stream, tex
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
-def test_console_path_reports_a_reader_that_closed_first(unbuffered):
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        # emit's write or flush raises EPIPE, and main reports it as exit 3
+        (DISPERSION_ARGS, 3, b"error: [Errno 32] Broken pipe\n"),
+        # as argparse's _print_message does, main ignores the failed flush
+        (("--help",), 0, b""),
+        (("--version",), 0, b""),
+    ],
+)
+def test_console_path_reports_a_reader_that_closed_first(unbuffered, argv, code, stderr):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        done = _console(
-            ["spinorlab", *DISPERSION_ARGS], unbuffered, stdout=write_end, stderr=subprocess.PIPE
-        )
+        done = _console(["spinorlab", *argv], unbuffered, stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
-    if unbuffered:
-        # main()'s write raises EPIPE, and main reports it as exit 3
-        assert (done.returncode, done.stderr) == (3, b"error: [Errno 32] Broken pipe\n")
-    else:
-        # the write stays in stdout's buffer and main() returns 0; the flush
-        # raises EPIPE, and sys.exit's teardown reports it with exit 120
-        assert done.returncode == 120
-        assert done.stderr.startswith(b"Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
-        assert done.stderr.endswith(b"\nBrokenPipeError: [Errno 32] Broken pipe\n")
+    assert (done.returncode, done.stderr) == (code, stderr)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_large_output_through_the_console_path_arrives_whole(capsys, unbuffered, fmt):
+    # far past stdout's 8 KB buffer and a pipe's 64 KB: the child blocks in
+    # the write until this side reads, and every byte is out before os._exit
+    argv = ["sweep", "--m", "1", "--k", "0,0,0.1", "--p3-min=-2", "--p3-max", "2",
+            "--count", "5000", "--format", fmt]
+    done = _console(["spinorlab", *argv], unbuffered, capture_output=True)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) > 100_000
+    assert done.stdout == out
 
 
 _BAD_P = ("dispersion", "--m", "1", "--p", "1,2", "--k", "0,0,0")
